@@ -256,21 +256,24 @@ class Circuit:
     # -- evaluation ------------------------------------------------------
 
     def _eval_plan(self):
-        # Flat per-node instruction list with integral Fractions unwrapped to
-        # ints; this is the hot path for exhaustive enumeration.
+        # Compiled once per circuit: per node an instruction with integral
+        # Fractions unwrapped to ints and leaf tables as tuples indexed by
+        # domain position, plus per variable a map value -> (position,).
         if self._plan is None:
-            plan = []
+            steps = []
             for node in self.nodes:
                 if isinstance(node, LeafNode):
                     f = self.leaf_functions[node.leaf_function]
-                    plan.append(("leaf", f.variable, {k: _fast(v) for k, v in f.table.items()}))
+                    domain = self.variables[f.variable].domain
+                    steps.append(("leaf", f.variable, tuple(_fast(f.table[x]) for x in domain)))
                 elif isinstance(node, ConstantNode):
-                    plan.append(("const", _fast(node.value), None))
+                    steps.append(("const", _fast(node.value), None))
                 elif isinstance(node, SumNode):
-                    plan.append(("sum", list(zip(node.children, map(_fast, node.weights))), None))
+                    steps.append(("sum", list(zip(node.children, map(_fast, node.weights))), None))
                 else:
-                    plan.append(("prod", node.children, None))
-            self._plan = plan
+                    steps.append(("prod", node.children, None))
+            positions = [{_fast(x): (i,) for i, x in enumerate(v.domain)} for v in self.variables]
+            self._plan = (steps, positions)
         return self._plan
 
     def _normalize_assignment(self, assignment) -> Mapping:
@@ -280,36 +283,64 @@ class Circuit:
             return dict(enumerate(assignment))
         raise UnknownVariableError("assignment must be a mapping or a sequence")
 
-    def check_assignment(self, assignment) -> Mapping:
-        """Validate that an assignment covers the dependency-scope with in-domain values."""
+    def position(self, var: int, value) -> int:
+        """Index of `value` in the domain of variable `var`; DomainError if absent."""
+        try:
+            return self._eval_plan()[1][var][value][0]
+        except (KeyError, TypeError):
+            raise DomainError(f"value {value} not in domain of variable {var}") from None
+
+    def select(self, assignment) -> list[tuple[int, ...]]:
+        """Map a point to a selection: per variable, the 1-tuple of its domain position.
+
+        The assignment must cover the dependency-scope with in-domain
+        values (UnknownVariableError / DomainError otherwise).  Variables
+        outside the dependency-scope select position 0: only leaves the
+        root cannot reach read them.
+        """
         assignment = self._normalize_assignment(assignment)
+        n = len(self.variables)
         for var in assignment:
-            if not (0 <= var < len(self.variables)):
+            if not (0 <= var < n):
                 raise UnknownVariableError(f"unknown variable {var}")
+        positions = self._eval_plan()[1]
+        selection = [(0,)] * n
         for var in self.dependency_scope():
             if var not in assignment:
                 raise UnknownVariableError(f"assignment misses variable {var}")
-            if assignment[var] not in self.variables[var].domain:
-                raise DomainError(f"value {assignment[var]} not in domain of variable {var}")
+            try:
+                selection[var] = positions[var][assignment[var]]
+            except (KeyError, TypeError):
+                raise DomainError(f"value {assignment[var]} not in domain of variable {var}") from None
+        return selection
+
+    def check_assignment(self, assignment) -> Mapping:
+        """Validate that an assignment covers the dependency-scope with in-domain values."""
+        assignment = self._normalize_assignment(assignment)
+        self.select(assignment)
         return assignment
 
     def evaluate(self, assignment) -> Rational:
         """One bottom-up pass computing the circuit output at a full assignment."""
-        assignment = self.check_assignment(assignment)
-        values = self.evaluate_leafwise(lambda var, table: table[assignment[var]])
-        return values[self.root]
+        return self.evaluate_selection(self.select(assignment))[self.root]
 
-    def evaluate_leafwise(self, leaf_value) -> list:
-        """Bottom-up evaluation with leaf node values supplied by `leaf_value(var, table)`.
+    def evaluate_selection(self, selection) -> list:
+        """Bottom-up evaluation where a leaf over variable v sums its table at
+        the domain positions `selection[v]`.
 
-        This is the common engine behind point evaluation and marginal
-        queries (where integrated leaves contribute partial sums).
-        Returns the full per-node value list.
+        A point selects one position per variable; a marginal query selects
+        its integration set, so the leaf contributes a partial sum.  This is
+        the one evaluation loop of the package.  Returns the full per-node
+        value list.
         """
-        values = [0] * len(self.nodes)
-        for i, (kind, a, b) in enumerate(self._eval_plan()):
+        steps = self._eval_plan()[0]
+        values = [0] * len(steps)
+        for i, (kind, a, b) in enumerate(steps):
             if kind == "leaf":
-                values[i] = leaf_value(a, b)
+                acc = 0
+                for p in selection[a]:
+                    acc += b[p]
+                values[i] = acc
             elif kind == "const":
                 values[i] = a
             elif kind == "sum":
@@ -448,45 +479,78 @@ def to_json_dict(circuit: Circuit) -> dict:
     }
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object", Fraction: "an exact rational"}
+
+
+def _checked(value, kind: type, where: str):
+    """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, converted).
+
+    Raises SerializationError naming the document path `where` otherwise.
+    """
+    if kind is Fraction:
+        if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+            try:
+                return as_fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+    elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise SerializationError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    where = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise SerializationError(f"{where}: missing")
+    return _checked(obj[key], kind, where)
+
+
+def _array(obj: dict, key: str, kind: type, where: str) -> list:
+    items = _field(obj, key, list, where)
+    where = f"{where}.{key}" if where else key
+    return [_checked(x, kind, f"{where}[{i}]") for i, x in enumerate(items)]
+
+
 def from_json_dict(doc: dict) -> Circuit:
-    try:
-        extended = bool(doc.get("extended", False))
-        variables = [
-            VariableSpec(v["id"], tuple(as_fraction(x) for x in v["domain"]))
-            for v in doc["variables"]
-        ]
-        leaf_functions = [
-            LeafFunction(
-                f["id"],
-                f["variable"],
-                {as_fraction(k): as_fraction(v) for k, v in f["table"].items()},
-                f.get("name"),
-            )
-            for f in doc["leaf_functions"]
-        ]
-        nodes: list[Node] = []
-        for nd in doc["nodes"]:
-            kind = nd["kind"]
-            if kind == "leaf":
-                nodes.append(LeafNode(nd["id"], nd["leaf_function"]))
-            elif kind == "constant":
-                nodes.append(ConstantNode(nd["id"], as_fraction(nd["value"])))
-            elif kind == "sum":
-                nodes.append(
-                    SumNode(
-                        nd["id"],
-                        tuple(nd["children"]),
-                        tuple(as_fraction(w) for w in nd["weights"]),
-                    )
-                )
-            elif kind == "product":
-                nodes.append(ProductNode(nd["id"], tuple(nd["children"])))
-            else:
-                raise SerializationError(f"unknown node kind {kind!r}")
-        root = doc["root"]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(f"malformed circuit document: {exc}") from exc
-    return Circuit(variables, leaf_functions, nodes, root, extended)
+    """Circuit from its JSON document; SerializationError names the first malformed field."""
+    if not isinstance(doc, dict):
+        raise SerializationError("circuit document must be a JSON object")
+    extended = bool(doc.get("extended", False))
+    variables = []
+    for i, v in enumerate(_array(doc, "variables", dict, "")):
+        where = f"variables[{i}]"
+        variables.append(
+            VariableSpec(_field(v, "id", int, where), tuple(_array(v, "domain", Fraction, where)))
+        )
+    leaf_functions = []
+    for i, f in enumerate(_array(doc, "leaf_functions", dict, "")):
+        where = f"leaf_functions[{i}]"
+        table = {
+            _checked(k, Fraction, f"{where}.table"): _checked(x, Fraction, f"{where}.table.{k}")
+            for k, x in _field(f, "table", dict, where).items()
+        }
+        name = f.get("name")
+        if name is not None:
+            _checked(name, str, f"{where}.name")
+        leaf_functions.append(
+            LeafFunction(_field(f, "id", int, where), _field(f, "variable", int, where), table, name)
+        )
+    nodes: list[Node] = []
+    for i, nd in enumerate(_array(doc, "nodes", dict, "")):
+        where = f"nodes[{i}]"
+        nid, kind = _field(nd, "id", int, where), _field(nd, "kind", str, where)
+        if kind == "leaf":
+            nodes.append(LeafNode(nid, _field(nd, "leaf_function", int, where)))
+        elif kind == "constant":
+            nodes.append(ConstantNode(nid, _field(nd, "value", Fraction, where)))
+        elif kind == "sum":
+            children = tuple(_array(nd, "children", int, where))
+            nodes.append(SumNode(nid, children, tuple(_array(nd, "weights", Fraction, where))))
+        elif kind == "product":
+            nodes.append(ProductNode(nid, tuple(_array(nd, "children", int, where))))
+        else:
+            raise SerializationError(f"{where}.kind: unknown node kind {kind!r}")
+    return Circuit(variables, leaf_functions, nodes, _field(doc, "root", int, ""), extended)
 
 
 def serialize(circuit: Circuit, indent: int | None = None) -> str:
@@ -498,6 +562,4 @@ def deserialize(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SerializationError("circuit document must be a JSON object")
     return from_json_dict(doc)

@@ -38,9 +38,8 @@ from .polynomial import expand, is_set_multilinear
 from .rng import make_rng
 from .separation import (
     circuit_evaluator,
-    comm_matrix,
     decompose,
-    exact_rank,
+    depth3_bound_report,
     half_partition,
 )
 from .sptree import (
@@ -125,7 +124,10 @@ def _parse_assignment(spec: str) -> dict:
         if not item:
             continue
         var, _, val = item.partition("=")
-        out[int(var)] = as_fraction(val)
+        try:
+            out[int(var)] = as_fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise SpnError(f"bad assignment {item!r}; use var=value, e.g. 0=1,1=1/2") from None
     return out
 
 
@@ -234,36 +236,14 @@ def cmd_builtin(args):
 
 
 def cmd_rank(args):
+    """`rank` and `depth3-report`: the latter adds the implied width floor."""
     circuit = _load_circuit(args.circuit)
     n = len(circuit.variables)
-    partition = _parse_partition(args.partition, n)
-    matrix = comm_matrix(circuit_evaluator(circuit), n, partition)
-    rank = exact_rank([list(row) for row in matrix.entries])
-    _emit_report(
-        args,
-        "rank",
-        {"n": n, "A": list(matrix.block_a), "B": list(matrix.block_b), "rank": rank},
-    )
-    return 0
-
-
-def cmd_depth3_report(args):
-    circuit = _load_circuit(args.circuit)
-    n = len(circuit.variables)
-    partition = _parse_partition(args.partition, n)
-    matrix = comm_matrix(circuit_evaluator(circuit), n, partition)
-    rank = exact_rank([list(row) for row in matrix.entries])
-    _emit_report(
-        args,
-        "depth3-report",
-        {
-            "n": n,
-            "A": list(matrix.block_a),
-            "B": list(matrix.block_b),
-            "rank": rank,
-            "min_second_layer_width": rank,
-        },
-    )
+    report = depth3_bound_report(circuit_evaluator(circuit), n, _parse_partition(args.partition, n))
+    payload = {"n": n, **report["partition"], "rank": report["rank"]}
+    if args.command == "depth3-report":
+        payload["min_second_layer_width"] = report["min_second_layer_width"]
+    _emit_report(args, args.command, payload)
     return 0
 
 
@@ -434,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default="first-half")
     format_flag(p)
 
-    p = add("depth3-report", cmd_depth3_report, help="rank and implied depth-3 width floor")
+    p = add("depth3-report", cmd_rank, help="rank and implied depth-3 width floor")
     circuit_arg(p)
     p.add_argument("--partition", default="first-half")
     format_flag(p)

@@ -48,7 +48,12 @@ class MarginalQuery:
             {int(v): as_fraction(x) for v, x in fixed.items()},
         )
 
-    def validate(self, circuit: Circuit):
+    def selection(self, circuit: Circuit) -> list[tuple[int, ...]]:
+        """Check the query against the circuit and map it to domain positions.
+
+        Integrated variables select the positions of their set, fixed
+        variables the position of their value (see Circuit.evaluate_selection).
+        """
         dep = circuit.dependency_scope()
         keys_i = set(self.integrate_over)
         keys_f = set(self.fixed)
@@ -59,15 +64,20 @@ class MarginalQuery:
                 "query must partition the dependency-scope "
                 f"{sorted(dep)}, got {sorted(keys_i | keys_f)}"
             )
+        selection = [(0,)] * len(circuit.variables)
         for v, s in self.integrate_over.items():
-            domain = set(circuit.variables[v].domain)
             if not s:
                 raise SpnError(f"empty integration set for variable {v}")
-            if not set(s) <= domain:
-                raise DomainError(f"integration set for variable {v} leaves the domain")
+            try:
+                selection[v] = tuple(circuit.position(v, x) for x in s)
+            except DomainError:
+                raise DomainError(f"integration set for variable {v} leaves the domain") from None
         for v, x in self.fixed.items():
-            if x not in circuit.variables[v].domain:
-                raise DomainError(f"fixed value {x} not in domain of variable {v}")
+            try:
+                selection[v] = (circuit.position(v, x),)
+            except DomainError:
+                raise DomainError(f"fixed value {x} not in domain of variable {v}") from None
+        return selection
 
 
 def _require_dc(circuit: Circuit, force: bool):
@@ -85,19 +95,8 @@ def marginalize(circuit: Circuit, query: MarginalQuery, force: bool = False) -> 
     variable contributes its table value.
     """
     _require_dc(circuit, force)
-    query.validate(circuit)
-    sets = query.integrate_over
-    fixed = query.fixed
-
-    def leaf_value(var, table):
-        if var in sets:
-            total = 0
-            for v in sets[var]:
-                total += table[v]
-            return total
-        return table[fixed[var]]
-
-    return as_fraction(circuit.evaluate_leafwise(leaf_value)[circuit.root])
+    selection = query.selection(circuit)
+    return as_fraction(circuit.evaluate_selection(selection)[circuit.root])
 
 
 def full_integration_query(circuit: Circuit) -> MarginalQuery:

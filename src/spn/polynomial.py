@@ -30,10 +30,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def monomial_vars(m: Monomial) -> frozenset[int]:
-    return frozenset(fid for fid, _ in m)
-
-
 class SparsePolynomial:
     """Sum of monomial terms over leaf functions, with like terms collected."""
 

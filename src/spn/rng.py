@@ -2,7 +2,6 @@
 
 All randomized operations take an explicit seed (or a generator built
 from one); identical seeds give identical streams across platforms.
-Philox is counter-based and splittable via SeedSequence spawning.
 """
 
 from __future__ import annotations
@@ -13,7 +12,3 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-
-def split(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent child generators for parallel workers."""
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]

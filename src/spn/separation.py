@@ -19,12 +19,12 @@ from .circuit import (
     CircuitBuilder,
     ConstantNode,
     LeafNode,
-    ProductNode,
     SumNode,
+    node_children,
 )
-from .errors import InstanceTooLargeError, SpnError
+from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank
-from .structure import is_dc
+from .structure import excise, is_dc
 
 __all__ = [
     "CommMatrix",
@@ -168,126 +168,15 @@ class Decomposition:
         return total
 
 
-class _MutableCircuit:
-    """Working copy supporting node excision with pruning, for decompose()."""
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.n = len(circuit.nodes)
-        self.sum_edges = {
-            nd.id: list(zip(nd.children, nd.weights))
-            for nd in circuit.nodes
-            if isinstance(nd, SumNode)
-        }
-        self.prod_children = {
-            nd.id: list(nd.children) for nd in circuit.nodes if isinstance(nd, ProductNode)
-        }
-        self.dead: set[int] = set()
-        self.root = circuit.root
-        self.root_dead = False
-
-    def children(self, nid: int) -> list[int]:
-        node = self.circuit.nodes[nid]
-        if isinstance(node, SumNode):
-            return [c for c, _ in self.sum_edges[nid]]
-        if isinstance(node, ProductNode):
-            return self.prod_children[nid]
-        return []
-
-    def reachable(self) -> set[int]:
-        if self.root_dead:
-            return set()
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for c in self.children(stack.pop()):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return seen
-
-    def remove(self, victim: int):
-        """Excise a node (replace with zero): product parents die, sum parents drop the edge."""
-        parents: dict[int, list[int]] = {}
-        for nid in self.reachable():
-            for c in self.children(nid):
-                parents.setdefault(c, []).append(nid)
-        stack = [victim]
-        while stack:
-            nid = stack.pop()
-            if nid in self.dead:
-                continue
-            self.dead.add(nid)
-            if nid == self.root:
-                self.root_dead = True
-                return
-            for p in set(parents.get(nid, ())):
-                if p in self.dead:
-                    continue
-                node = self.circuit.nodes[p]
-                if isinstance(node, ProductNode):
-                    stack.append(p)
-                else:
-                    self.sum_edges[p] = [(c, w) for c, w in self.sum_edges[p] if c != nid]
-                    if not self.sum_edges[p]:
-                        stack.append(p)
-
-    def evaluate(self, assignment: dict, override: dict | None = None):
-        """Bottom-up over live reachable nodes; `override` pins node values."""
-        override = override or {}
-        live = self.reachable()
-        values: dict[int, object] = {}
-        for node in self.circuit.nodes:
-            nid = node.id
-            if nid not in live:
-                continue
-            if nid in override:
-                values[nid] = override[nid]
-            elif isinstance(node, LeafNode):
-                f = self.circuit.leaf_functions[node.leaf_function]
-                values[nid] = f.table[assignment[f.variable]]
-            elif isinstance(node, ConstantNode):
-                values[nid] = node.value
-            elif isinstance(node, SumNode):
-                acc = 0
-                for c, w in self.sum_edges[nid]:
-                    acc += w * values[c]
-                values[nid] = acc
-            else:
-                acc = 1
-                for c in self.prod_children[nid]:
-                    acc *= values[c]
-                values[nid] = acc
-        return values.get(self.root, 0)
-
-    def evaluate_sub(self, top: int, assignment: dict):
-        """Evaluate just the subcircuit rooted at a live node."""
-        seen = {top}
-        stack = [top]
-        order = []
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            for c in self.children(nid):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        values: dict[int, object] = {}
-        for nid in sorted(order):
-            node = self.circuit.nodes[nid]
-            if isinstance(node, LeafNode):
-                f = self.circuit.leaf_functions[node.leaf_function]
-                values[nid] = f.table[assignment[f.variable]]
-            elif isinstance(node, ConstantNode):
-                values[nid] = node.value
-            elif isinstance(node, SumNode):
-                values[nid] = sum(w * values[c] for c, w in self.sum_edges[nid])
-            else:
-                acc = 1
-                for c in self.prod_children[nid]:
-                    acc *= values[c]
-                values[nid] = acc
-        return values[top]
+def _points(circuit: Circuit, vars_: tuple[int, ...]):
+    """Every assignment to `vars_`, as (tuple of values, selection with the
+    other variables at domain position 0)."""
+    domains = [circuit.variables[v].domain for v in vars_]
+    for point in iter_product(*(range(len(d)) for d in domains)):
+        selection = [(0,)] * len(circuit.variables)
+        for v, p in zip(vars_, point):
+            selection[v] = (p,)
+        yield tuple(d[p] for d, p in zip(domains, point)), selection
 
 
 def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
@@ -299,7 +188,8 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
     node id), its g table is the subcircuit's value over its scope, its h
     table is the difference between the circuit evaluated with the node
     pinned to one and pinned to zero (a function of the complementary
-    variables only), and the node is excised.  The recorded terms satisfy
+    variables only), and the node is excised: the circuit with the node
+    pinned to zero is the next one walked.  The recorded terms satisfy
     sum_i g_i(y_i) h_i(z_i) = circuit(x) for every assignment.
     """
     if circuit.extended:
@@ -313,19 +203,14 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
         raise SpnError("decompose requires the output to depend on every variable")
     source_size = len(circuit.nodes)
 
-    work = _MutableCircuit(binarize_products(circuit))
-    scopes = work.circuit.scopes()
-    domains = {v.id: v.domain for v in work.circuit.variables}
-
-    def grid(vars_: tuple[int, ...]):
-        return iter_product(*(domains[v] for v in vars_))
-
+    work = binarize_products(circuit)
     terms = []
-    while not work.root_dead:
+    while work is not None:
         # walk: first node on the largest-child path with scope <= 2n/3
+        scopes = work.scopes()
         node = work.root
         while 3 * len(scopes[node][1]) > 2 * n:
-            kids = work.children(node)
+            kids = node_children(work.nodes[node])
             node = max(kids, key=lambda c: (len(scopes[c][1]), -c))
         y_vars = tuple(sorted(scopes[node][1]))
         z_vars = tuple(v for v in range(n) if v not in scopes[node][1])
@@ -336,23 +221,27 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
                 f"term tables over more than {max_table_vars} variables"
             )
 
-        g_table = {}
-        for combo in grid(y_vars):
-            g_table[combo] = work.evaluate_sub(node, dict(zip(y_vars, combo)))
+        g_table = {
+            key: Fraction(work.evaluate_selection(selection)[node])
+            for key, selection in _points(work, y_vars)
+        }
 
-        base = {v: domains[v][0] for v in y_vars}
+        nodes = list(work.nodes)
+        nodes[node] = ConstantNode(node, Fraction(1))
+        pinned_one = Circuit(work.variables, work.leaf_functions, nodes, work.root)
+        try:
+            pinned_zero = excise(work, [node])
+        except ZeroCircuitError:
+            pinned_zero = None
         h_table = {}
-        for combo in grid(z_vars):
-            assignment = dict(base)
-            assignment.update(zip(z_vars, combo))
-            hi = work.evaluate(assignment, override={node: 1})
-            lo = work.evaluate(assignment, override={node: 0})
-            value = hi - lo
-            if value < 0:
+        for key, selection in _points(work, z_vars):
+            hi = pinned_one.evaluate_selection(selection)[pinned_one.root]
+            lo = pinned_zero.evaluate_selection(selection)[pinned_zero.root] if pinned_zero else 0
+            if hi < lo:
                 raise SpnError("negative cofactor table entry; circuit is not D&C")
-            h_table[combo] = value
+            h_table[key] = Fraction(hi - lo)
         terms.append(DecompositionTerm(y_vars, z_vars, g_table, h_table))
-        work.remove(node)
+        work = pinned_zero
 
     if len(terms) > source_size * source_size:
         raise SpnError("decomposition produced more than size^2 terms")

@@ -114,28 +114,38 @@ def analyze(circuit: Circuit) -> StructureReport:
 def prune_degenerate(circuit: Circuit) -> Circuit:
     """Remove zero-weight edges, then dead nodes, preserving the output polynomial.
 
-    Drops edges with weight 0, then repeatedly removes non-root nodes with
-    no remaining parents and internal nodes with no remaining children,
-    removing any product node that was a parent of a removed node.  Raises
-    ZeroCircuitError if the root itself is eliminated.
+    Drops edges with weight 0 and excises zero constants (see `excise`).
+    Raises ZeroCircuitError if the root itself is eliminated.
     """
     _require_monotone(circuit)
+    zero_constants = [
+        node.id for node in circuit.nodes if isinstance(node, ConstantNode) and node.value == 0
+    ]
+    return excise(circuit, zero_constants, drop_zero_weights=True)
+
+
+def excise(circuit: Circuit, doomed, drop_zero_weights: bool = False) -> Circuit:
+    """Replace the `doomed` nodes by zero and remove every node that dies with them.
+
+    Removing a node kills its product parents outright and drops the
+    corresponding sum edges; a sum left without edges dies too.  This
+    repeats, together with removing non-root nodes with no remaining
+    parents and internal nodes with no remaining children, until nothing
+    changes.  Survivors keep their order under new dense ids, and the
+    output is unchanged at every assignment.  Raises ZeroCircuitError if
+    the root itself is eliminated.
+    """
     n = len(circuit.nodes)
     alive = [True] * n
     sum_edges: dict[int, list[tuple[int, Fraction]]] = {}
     prod_edges: dict[int, list[int]] = {}
-    zero_constants = []
     for node in circuit.nodes:
         if isinstance(node, SumNode):
             sum_edges[node.id] = [
-                (c, w) for c, w in zip(node.children, node.weights) if w != 0
+                (c, w) for c, w in zip(node.children, node.weights) if w != 0 or not drop_zero_weights
             ]
         elif isinstance(node, ProductNode):
             prod_edges[node.id] = list(node.children)
-        elif isinstance(node, ConstantNode) and node.value == 0:
-            # A zero constant computes the zero polynomial; remove it like a
-            # dead node so the result is non-degenerate.
-            zero_constants.append(node.id)
 
     def children_of(i: int) -> list[int]:
         node = circuit.nodes[i]
@@ -145,7 +155,7 @@ def prune_degenerate(circuit: Circuit) -> Circuit:
             return prod_edges[i]
         return []
 
-    pending_zero = list(zero_constants)
+    pending = list(doomed)
     changed = True
     while changed:
         changed = False
@@ -154,8 +164,8 @@ def prune_degenerate(circuit: Circuit) -> Circuit:
             if alive[i]:
                 for c in children_of(i):
                     parents[c].add(i)
-        to_kill = set(i for i in pending_zero if alive[i])
-        pending_zero = []
+        to_kill = set(i for i in pending if alive[i])
+        pending = []
         for i in range(n):
             if not alive[i]:
                 continue
@@ -315,48 +325,41 @@ def brute_force_validity(circuit: Circuit, max_vars: int = 4, max_domain: int = 
     of non-empty value subsets S_i, and every assignment to the remaining
     variables, comparing the explicit sum of evaluations over the S grid
     against one substituted evaluation where each integrated leaf computes
-    its partial table sum.  Extended circuits are allowed.  Variables the
-    output does not depend on are excluded from I (integrating over them
-    has no circuit-side counterpart).
+    its partial table sum.  The circuit is evaluated once per grid point
+    and the sums are read from that table.  Extended circuits are allowed.
+    Variables the output does not depend on are excluded from I
+    (integrating over them has no circuit-side counterpart).
     """
     dep = sorted(circuit.dependency_scope())
-    if len(dep) > max_vars or any(
-        len(circuit.variables[v].domain) > max_domain for v in dep
-    ):
+    sizes = [len(circuit.variables[v].domain) for v in dep]
+    if len(dep) > max_vars or any(k > max_domain for k in sizes):
         raise InstanceTooLargeError(
             f"oracle bound exceeded: n <= {max_vars}, |domain| <= {max_domain}"
         )
-    subset_choices = {v: _nonempty_subsets(circuit.variables[v].domain) for v in dep}
+    root = circuit.root
+    # Selections index variables by id; grid points are position tuples in dep order.
+    selection = [(0,)] * len(circuit.variables)
+    grid = {}
+    for point in iter_product(*(range(k) for k in sizes)):
+        for v, p in zip(dep, point):
+            selection[v] = (p,)
+        grid[point] = circuit.evaluate_selection(selection)[root]
 
+    subset_choices = [_nonempty_subsets(range(k)) for k in sizes]
+    singletons = [[(p,) for p in range(k)] for k in sizes]
     for r in range(1, len(dep) + 1):
-        for I in combinations(dep, r):
-            rest = [v for v in dep if v not in I]
-            rest_domains = [circuit.variables[v].domain for v in rest]
-            for s_combo in iter_product(*(subset_choices[v] for v in I)):
-                sets = dict(zip(I, s_combo))
-                for rest_vals in iter_product(*rest_domains):
-                    fixed = dict(zip(rest, rest_vals))
-                    lhs = 0
-                    for grid_vals in iter_product(*s_combo):
-                        point = dict(fixed)
-                        point.update(zip(I, grid_vals))
-                        lhs += circuit.evaluate(point)
-                    rhs = _substituted_evaluate(circuit, sets, fixed)
-                    if lhs != rhs:
-                        return False
+        for I in combinations(range(len(dep)), r):
+            # per dep position: the integration sets if integrated, else the fixed values
+            options = [subset_choices[j] if j in I else singletons[j] for j in range(len(dep))]
+            for choice in iter_product(*options):
+                lhs = 0
+                for point in iter_product(*choice):
+                    lhs += grid[point]
+                for v, positions in zip(dep, choice):
+                    selection[v] = positions
+                if lhs != circuit.evaluate_selection(selection)[root]:
+                    return False
     return True
-
-
-def _substituted_evaluate(circuit: Circuit, sets: dict, fixed: dict):
-    def leaf_value(var, table):
-        if var in sets:
-            total = 0
-            for v in sets[var]:
-                total += table[v]
-            return total
-        return table[fixed[var]]
-
-    return circuit.evaluate_leafwise(leaf_value)[circuit.root]
 
 
 # -- CNF reduction -----------------------------------------------------------

@@ -54,6 +54,23 @@ def test_evaluate_rejects_bad_assignments():
         c.evaluate({0: 1})
     with pytest.raises(DomainError):
         c.evaluate({0: 2, 1: 1})
+    with pytest.raises(UnknownVariableError):
+        c.evaluate({-1: 0, 0: 1, 1: 1})
+    with pytest.raises(DomainError):
+        c.evaluate({0: [1], 1: 1})  # unhashable value
+    with pytest.raises(DomainError):
+        c.evaluate({0: "1", 1: 1})
+
+
+def test_evaluate_result_types():
+    c = product_of_two_leaves()
+    assert type(c.evaluate({0: 1, 1: 1})) is int
+    assert type(c.evaluate({0: Fraction(1), 1: Fraction(0)})) is int
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    half = b.build(b.leaf(b.leaf_function(x, {0: "1/2", 1: 2})))
+    assert half.evaluate([0]) == Fraction(1, 2) and type(half.evaluate([0])) is Fraction
+    assert type(half.evaluate([1])) is int
 
 
 def test_scopes():

@@ -175,3 +175,32 @@ def test_table_format():
     proc = run_cli(["check", "--format", "table"], stdin=built)
     assert proc.returncode == 0
     assert "decomposable = True" in proc.stdout
+
+
+def assert_one_error_line(proc, fragment):
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert fragment in lines[0]
+
+
+def test_malformed_children_is_a_typed_error():
+    doc = json.loads(serialize(incomplete_valid_fixture()))
+    product = next(i for i, nd in enumerate(doc["nodes"]) if nd["kind"] == "product")
+    doc["nodes"][product]["children"] = "ab"
+    proc = run_cli(["check"], stdin=json.dumps(doc))
+    assert_one_error_line(proc, f"nodes[{product}].children")
+
+
+def test_malformed_leaf_function_reference_is_a_typed_error():
+    doc = json.loads(serialize(incomplete_valid_fixture()))
+    doc["nodes"][0]["leaf_function"] = "0"
+    proc = run_cli(["eval", "--assign", "0=1,1=1"], stdin=json.dumps(doc))
+    assert_one_error_line(proc, "nodes[0].leaf_function")
+
+
+def test_malformed_assignment_is_a_typed_error():
+    built = run_cli(["builtin", "equal", "--n", "4"]).stdout
+    proc = run_cli(["eval", "--assign", "0=x"], stdin=built)
+    assert_one_error_line(proc, "0=x")
