@@ -483,7 +483,8 @@ _JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an o
 
 
 def _checked(value, kind: type, where: str):
-    """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, converted).
+    """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, converted;
+    list: a list or, from Python callers, a tuple).
 
     Raises SerializationError naming the document path `where` otherwise.
     """
@@ -493,6 +494,9 @@ def _checked(value, kind: type, where: str):
                 return as_fraction(value)
             except (ValueError, ZeroDivisionError):
                 pass
+    elif kind is list:
+        if isinstance(value, (list, tuple)):
+            return value
     elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
     raise SerializationError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .circuit import as_fraction, deserialize, format_rational, serialize
+from .circuit import _checked, as_fraction, deserialize, format_rational, serialize
 from .errors import SpnError
 from .inference import (
     DistributionHandle,
@@ -181,7 +181,7 @@ def cmd_eval(args):
 
 def cmd_marginalize(args):
     circuit = _load_circuit(args.circuit)
-    doc = json.loads(_read_text(args.query))
+    doc = _checked(json.loads(_read_text(args.query)), dict, "query document")
     query = MarginalQuery.of(doc.get("integrate_over", {}), doc.get("fixed", {}))
     value = marginalize(circuit, query, force=args.force)
     _emit_report(args, "marginalize", {"value": format_rational(value)})

@@ -20,6 +20,9 @@ from .circuit import (
     LeafNode,
     ProductNode,
     SumNode,
+    _array,
+    _checked,
+    _field,
     as_fraction,
 )
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     ZeroPartitionError,
 )
 from .rng import make_rng
-from .structure import is_dc
+from .structure import excise, is_dc
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,18 @@ class MarginalQuery:
 
     @staticmethod
     def of(integrate_over: Mapping, fixed: Mapping) -> "MarginalQuery":
+        """Query from variable ids (ints or decimal strings, as in a JSON query
+        document) mapped to value arrays or values; SerializationError names
+        the first malformed field."""
+
+        def variable(key, where):
+            return int(key) if isinstance(key, str) and key.isdecimal() else _checked(key, int, where)
+
+        sets = _checked(integrate_over, dict, "integrate_over")
+        fixed = _checked(fixed, dict, "fixed")
         return MarginalQuery(
-            {int(v): tuple(as_fraction(x) for x in s) for v, s in integrate_over.items()},
-            {int(v): as_fraction(x) for v, x in fixed.items()},
+            {variable(v, "integrate_over"): tuple(_array(sets, v, Fraction, "integrate_over")) for v in sets},
+            {variable(v, "fixed"): _field(fixed, v, Fraction, "fixed") for v in fixed},
         )
 
     def selection(self, circuit: Circuit) -> list[tuple[int, ...]]:
@@ -138,89 +150,39 @@ def apply_integration(circuit: Circuit, integrate_over: Mapping) -> Circuit:
 def normalize_weights(circuit: Circuit) -> Circuit:
     """Equivalent circuit with sum weights and leaf tables summing to one.
 
-    Bottom-up: each leaf function is divided by its full-domain sum, each
-    constant becomes one, and each sum node's incoming weights are divided
-    by their total; every division is compensated by multiplying the
-    affected ancestor sum-edge weights, so the normalized density is
-    unchanged.  Requires a decomposable and complete monotone circuit.
+    One bottom-up pass with every variable integrated over its whole
+    domain gives each node's partition value Z.  Nodes with Z = 0 compute
+    zero everywhere and are excised.  Then each sum edge weight w becomes
+    w * Z(child) / Z(sum), each leaf table is divided by its sum and each
+    constant becomes one, so every node computes its old value over its Z
+    (local normalization, Peharz et al., AISTATS 2015).  Requires a
+    decomposable and complete monotone circuit; ZeroPartitionError means
+    Z(root) = 0.
     """
     if circuit.extended:
         raise NotDecomposableCompleteError("cannot normalize an extended circuit")
     if not is_dc(circuit):
         raise NotDecomposableCompleteError("weight normalization requires a D&C circuit")
+    full = [tuple(range(len(v.domain))) for v in circuit.variables]
+    z = circuit.evaluate_selection(full)
+    if z[circuit.root] == 0:
+        raise ZeroPartitionError("partition function is zero")
+    if 0 in z:
+        circuit = excise(circuit, [i for i, zi in enumerate(z) if zi == 0])
+        z = circuit.evaluate_selection(full)
 
-    n = len(circuit.nodes)
-    parents: dict[int, list[int]] = {i: [] for i in range(n)}
-    for node in circuit.nodes:
-        if isinstance(node, (SumNode, ProductNode)):
-            for c in node.children:
-                parents[c].append(node.id)
-
-    weights: dict[int, list[Fraction]] = {
-        node.id: list(node.weights) for node in circuit.nodes if isinstance(node, SumNode)
-    }
-    tables: dict[int, dict] = {}
-    constants: dict[int, Fraction] = {}
-
-    def propagate(nid: int, factor: Fraction):
-        # Compensate a division at node `nid` on every consumption point.
-        # Sum parents are handled once: the inner loop already scales every
-        # edge into that parent.  Product parents propagate per edge
-        # instance (a repeated child divides the product twice).
-        if nid == circuit.root:
-            return
-        handled_sums = set()
-        for p in parents[nid]:
-            pnode = circuit.nodes[p]
-            if isinstance(pnode, SumNode):
-                if p in handled_sums:
-                    continue
-                handled_sums.add(p)
-                ws = weights[p]
-                for k, c in enumerate(pnode.children):
-                    if c == nid:
-                        ws[k] = ws[k] * factor
-            else:
-                propagate(p, factor)
-
-    # Leaf functions are normalized once; the compensation factor is applied
-    # at every node labeled by the function.
-    fn_factor: dict[int, Fraction] = {}
+    new_fns = []
     for f in circuit.leaf_functions:
         total = sum(f.table.values())
-        if total == 0:
-            raise ZeroPartitionError(f"leaf function {f.id} sums to zero")
-        tables[f.id] = {k: v / total for k, v in f.table.items()}
-        fn_factor[f.id] = Fraction(total)
-
-    for node in circuit.nodes:
-        if isinstance(node, LeafNode):
-            factor = fn_factor[node.leaf_function]
-            if factor != 1:
-                propagate(node.id, factor)
-        elif isinstance(node, ConstantNode):
-            if node.value == 0:
-                raise ZeroPartitionError(f"zero constant at node {node.id}")
-            constants[node.id] = Fraction(1)
-            if node.value != 1:
-                propagate(node.id, Fraction(node.value))
-        elif isinstance(node, SumNode):
-            total = sum(weights[node.id])
-            if total == 0:
-                raise ZeroPartitionError(f"sum node {node.id} has zero total weight")
-            weights[node.id] = [w / total for w in weights[node.id]]
-            if total != 1:
-                propagate(node.id, total)
-
-    new_fns = [
-        LeafFunction(f.id, f.variable, tables[f.id], f.name) for f in circuit.leaf_functions
-    ]
+        table = {k: v / total for k, v in f.table.items()} if total else f.table
+        new_fns.append(LeafFunction(f.id, f.variable, table, f.name))
     new_nodes = []
     for node in circuit.nodes:
         if isinstance(node, SumNode):
-            new_nodes.append(SumNode(node.id, node.children, tuple(weights[node.id])))
+            weights = tuple(w * z[c] / z[node.id] for c, w in zip(node.children, node.weights))
+            new_nodes.append(SumNode(node.id, node.children, weights))
         elif isinstance(node, ConstantNode):
-            new_nodes.append(ConstantNode(node.id, constants[node.id]))
+            new_nodes.append(ConstantNode(node.id, Fraction(1)))
         else:
             new_nodes.append(node)
     return Circuit(circuit.variables, new_fns, new_nodes, circuit.root, circuit.extended)

@@ -35,6 +35,8 @@ class Fpssm:
     def __post_init__(self):
         if sorted(self.order) != list(range(self.n)):
             raise SpnError("order must be a permutation of the variables")
+        if len(self.domains) != self.n or len(self.transitions) != self.n:
+            raise SpnError(f"domains and transitions need one entry per variable ({self.n})")
         k = self.state_size
         if not (0 <= self.initial_state < k):
             raise SpnError("initial state out of range")

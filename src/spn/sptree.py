@@ -129,6 +129,8 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     yields a multigraph whose spanning trees biject with the consistent
     trees, counted by one cofactor of the generalized Laplacian.
     """
+    if m < 2:
+        raise SpnError("need at least two vertices")
     idx = EdgeIndexing(m)
     uf = _UnionFind(m)
     for label in partial.present():

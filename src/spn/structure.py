@@ -127,82 +127,47 @@ def prune_degenerate(circuit: Circuit) -> Circuit:
 def excise(circuit: Circuit, doomed, drop_zero_weights: bool = False) -> Circuit:
     """Replace the `doomed` nodes by zero and remove every node that dies with them.
 
-    Removing a node kills its product parents outright and drops the
-    corresponding sum edges; a sum left without edges dies too.  This
-    repeats, together with removing non-root nodes with no remaining
-    parents and internal nodes with no remaining children, until nothing
-    changes.  Survivors keep their order under new dense ids, and the
-    output is unchanged at every assignment.  Raises ZeroCircuitError if
-    the root itself is eliminated.
+    One pass in topological order kills each product with a dead child
+    and drops each sum edge into a dead child; a sum left without edges
+    dies too.  The survivors are the live nodes the root still reaches;
+    they keep their order under new dense ids, and the output is
+    unchanged at every assignment.  Raises ZeroCircuitError if the root
+    itself is eliminated.
     """
-    n = len(circuit.nodes)
-    alive = [True] * n
+    dead = [False] * len(circuit.nodes)
+    for i in doomed:
+        dead[i] = True
     sum_edges: dict[int, list[tuple[int, Fraction]]] = {}
-    prod_edges: dict[int, list[int]] = {}
     for node in circuit.nodes:
+        if dead[node.id]:
+            continue
         if isinstance(node, SumNode):
-            sum_edges[node.id] = [
-                (c, w) for c, w in zip(node.children, node.weights) if w != 0 or not drop_zero_weights
+            edges = [
+                (c, w)
+                for c, w in zip(node.children, node.weights)
+                if not dead[c] and (w != 0 or not drop_zero_weights)
             ]
+            sum_edges[node.id] = edges
+            dead[node.id] = not edges
         elif isinstance(node, ProductNode):
-            prod_edges[node.id] = list(node.children)
-
-    def children_of(i: int) -> list[int]:
-        node = circuit.nodes[i]
-        if isinstance(node, SumNode):
-            return [c for c, _ in sum_edges[i]]
-        if isinstance(node, ProductNode):
-            return prod_edges[i]
-        return []
-
-    pending = list(doomed)
-    changed = True
-    while changed:
-        changed = False
-        parents: dict[int, set[int]] = {i: set() for i in range(n)}
-        for i in range(n):
-            if alive[i]:
-                for c in children_of(i):
-                    parents[c].add(i)
-        to_kill = set(i for i in pending if alive[i])
-        pending = []
-        for i in range(n):
-            if not alive[i]:
-                continue
-            node = circuit.nodes[i]
-            internal = isinstance(node, (SumNode, ProductNode))
-            if i != circuit.root and not parents[i]:
-                to_kill.add(i)
-            elif internal and not children_of(i):
-                to_kill.add(i)
-        if to_kill:
-            changed = True
-            # Removing a node kills product parents outright and drops the
-            # corresponding sum edges.
-            stack = list(to_kill)
-            while stack:
-                i = stack.pop()
-                if not alive[i]:
-                    continue
-                alive[i] = False
-                for p in list(parents[i]):
-                    if not alive[p]:
-                        continue
-                    if isinstance(circuit.nodes[p], ProductNode):
-                        stack.append(p)
-                    else:
-                        sum_edges[p] = [(c, w) for c, w in sum_edges[p] if c != i]
-                        if not sum_edges[p]:
-                            stack.append(p)
-
-    if not alive[circuit.root]:
+            dead[node.id] = any(dead[c] for c in node.children)
+    if dead[circuit.root]:
         raise ZeroCircuitError("pruning removed the root: circuit computes the zero polynomial")
+
+    def children_of(i: int):
+        return [c for c, _ in sum_edges[i]] if i in sum_edges else node_children(circuit.nodes[i])
+
+    reached = {circuit.root}
+    stack = [circuit.root]
+    while stack:
+        for c in children_of(stack.pop()):
+            if c not in reached:
+                reached.add(c)
+                stack.append(c)
 
     remap: dict[int, int] = {}
     builder_nodes = []
-    for i in range(n):
-        if not alive[i]:
-            continue
+    for i in sorted(reached):
         remap[i] = len(builder_nodes)
         node = circuit.nodes[i]
         if isinstance(node, LeafNode):
@@ -218,7 +183,7 @@ def excise(circuit: Circuit, doomed, drop_zero_weights: bool = False) -> Circuit
                 )
             )
         else:
-            builder_nodes.append(ProductNode(remap[i], tuple(remap[c] for c in prod_edges[i])))
+            builder_nodes.append(ProductNode(remap[i], tuple(remap[c] for c in node.children)))
     return Circuit(
         circuit.variables,
         circuit.leaf_functions,

@@ -1,12 +1,21 @@
 """End-to-end command-line checks: piping, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from spn.circuit import deserialize, serialize
 
 from genutil import incomplete_valid_fixture
+
+# the CLI child imports the package from src/ without PYTHONPATH or an install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(args, stdin=None):
@@ -15,6 +24,7 @@ def run_cli(args, stdin=None):
         input=stdin,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -90,6 +100,20 @@ def test_normalize_then_sample_deterministic():
     for row in rows:
         x = [int(t) for t in row.split(",")]
         assert x[:2] == x[2:]
+
+
+@pytest.mark.parametrize("name", ["parity", "majority", "count-ones", "equal"])
+def test_builtin_normalize_sample_pipeline(name):
+    built = run_cli(["builtin", name, "--n", "6"])
+    normalized = run_cli(["normalize"], stdin=built.stdout)
+    drawn = run_cli(["sample", "-n", "20", "--seed", "7"], stdin=normalized.stdout)
+    assert (built.returncode, normalized.returncode, drawn.returncode) == (0, 0, 0)
+    circuit = deserialize(built.stdout)
+    variables = sorted(deserialize(normalized.stdout).dependency_scope())
+    rows = drawn.stdout.splitlines()
+    assert len(rows) == 20
+    for row in rows:
+        assert circuit.evaluate(dict(zip(variables, map(Fraction, row.split(","))))) != 0
 
 
 def test_marginalize_subcommand(tmp_path):
@@ -200,7 +224,26 @@ def test_malformed_leaf_function_reference_is_a_typed_error():
     assert_one_error_line(proc, "nodes[0].leaf_function")
 
 
-def test_malformed_assignment_is_a_typed_error():
+def test_malformed_assignment_is_a_typed_error(tmp_path):
     built = run_cli(["builtin", "equal", "--n", "4"]).stdout
     proc = run_cli(["eval", "--assign", "0=x"], stdin=built)
     assert_one_error_line(proc, "0=x")
+    circuit = tmp_path / "equal.json"
+    circuit.write_text(built)
+    machine = {
+        "n": 2,
+        "state_size": 2,
+        "initial_state": 0,
+        "domains": [["0", "1"]],
+        "transitions": [{"0": [0, 1], "1": [1, 0]} for _ in range(2)],
+        "decode": ["0", "1"],
+    }
+    cases = [
+        (["sptree", "count", "--m", "0"], None, "at least two vertices"),
+        (["sptree", "count", "--m", "1"], None, "at least two vertices"),
+        (["marginalize", "--query", "-", str(circuit)], '{"integrate_over": [1]}', "integrate_over"),
+        (["marginalize", "--query", "-", str(circuit)], '{"fixed": {"0": "x"}}', "fixed.0"),
+        (["compile", "fpssm", "-"], json.dumps(machine), "domains and transitions"),
+    ]
+    for args, stdin, fragment in cases:
+        assert_one_error_line(run_cli(args, stdin=stdin), fragment)

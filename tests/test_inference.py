@@ -23,7 +23,14 @@ from spn.inference import (
     partition_function,
     sample,
 )
-from spn.machines import build_equal, equal_function
+from spn.machines import (
+    build_equal,
+    compile_fpssm,
+    count_ones_machine,
+    equal_function,
+    majority_machine,
+    parity_machine,
+)
 from spn.rng import make_rng
 
 from genutil import (
@@ -167,6 +174,39 @@ def test_normalize_preserves_density():
         assert partition_function(norm) == 1
         for assignment in c.iter_assignments(range(n)):
             assert norm.evaluate(assignment) == Fraction(c.evaluate(assignment)) / z
+
+
+@pytest.mark.parametrize("machine", [parity_machine, majority_machine, count_ones_machine])
+def test_normalize_compiled_machines(machine):
+    # compiled machines carry zero constants and all-zero leaf tables; the
+    # parts with partition value zero are excised
+    c = compile_fpssm(machine(6))
+    z = partition_function(c)
+    norm = normalize_weights(c)
+    assert is_weight_normalized(norm)
+    assert partition_function(norm) == 1
+    points = list(c.iter_assignments(range(6)))
+    assert len(points) == 64
+    for assignment in points:
+        assert norm.evaluate(assignment) * z == c.evaluate(assignment)
+
+
+def test_normalize_deep_product_chain():
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    y = b.variable([0, 1])
+    node = b.leaf(b.leaf_function(x, {0: 1, 1: 3}))
+    for _ in range(10_000):
+        node = b.product([node])
+    norm = normalize_weights(b.build(node))
+    assert is_weight_normalized(norm)
+    assert norm.evaluate({0: 1}) == Fraction(3, 4)
+    # the same chain under a zero factor is excised whole, in one pass
+    zero = b.product([node, b.leaf(b.leaf_function(y, {0: 0, 1: 0}))])
+    live = b.product([b.leaf(b.leaf_function(x, {0: 1, 1: 1})), b.leaf(b.leaf_function(y, {0: 1, 1: 3}))])
+    norm = normalize_weights(b.build(b.sum([(zero, 5), (live, 1)])))
+    assert len(norm.nodes) == 4
+    assert norm.evaluate({0: 0, 1: 1}) == Fraction(3, 8)
 
 
 def test_normalize_rejects_non_dc():

@@ -8,9 +8,17 @@ and bounded, so the suite is deterministic and its cost fixed.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.inference import MarginalQuery, marginalize
+from spn.errors import ZeroPartitionError
+from spn.inference import (
+    MarginalQuery,
+    is_weight_normalized,
+    marginalize,
+    normalize_weights,
+    partition_function,
+)
 from spn.polynomial import evaluate_via_expansion
 from spn.rng import make_rng
 from spn.separation import decompose
@@ -53,6 +61,23 @@ def test_marginalize_matches_exhaustive_sum(seed):
                 integrate[v] = tuple(domain[int(i)] for i in picks)
         expected = exhaustive_marginal(c, integrate, fixed)
         assert marginalize(c, MarginalQuery.of(integrate, fixed)) == expected
+
+
+@PROFILE
+@given(seeds)
+def test_normalize_preserves_density_with_unit_partition(seed):
+    # tables may hold zeros, so some nodes have partition value zero
+    c = small_dc_circuit(make_rng(seed))
+    z = exhaustive_marginal(c, {v: c.variables[v].domain for v in c.dependency_scope()}, {})
+    if z == 0:
+        with pytest.raises(ZeroPartitionError):
+            normalize_weights(c)
+        return
+    norm = normalize_weights(c)
+    assert is_weight_normalized(norm)
+    assert partition_function(norm) == 1
+    for assignment in c.iter_assignments(range(len(c.variables))):
+        assert norm.evaluate(assignment) == Fraction(c.evaluate(assignment)) / z
 
 
 @PROFILE
