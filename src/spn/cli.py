@@ -73,7 +73,7 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -116,6 +116,13 @@ def _parse_partition(spec: str, n: int):
         block_b = tuple(v for v in range(n) if v not in set(block_a))
         return block_a, block_b
     raise SpnError(f"bad partition spec {spec!r}; use 'first-half' or 'A=0,1,2'")
+
+
+def _count(text: str) -> int:
+    """argparse type of a number of draws: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_assignment(spec: str) -> dict:
@@ -209,8 +216,8 @@ def cmd_sample(args):
     lines = []
     for _ in range(args.count):
         assignment = sample(handle, rng)
-        lines.append(",".join(format_rational(assignment[v]) for v in variables))
-    _write_text(args.output, "\n".join(lines) + "\n")
+        lines.append(",".join(format_rational(assignment[v]) for v in variables) + "\n")
+    _write_text(args.output, "".join(lines))
     return 0
 
 
@@ -304,8 +311,8 @@ def cmd_sptree_sample(args):
     lines = []
     for _ in range(args.count):
         tree = sample_tree(args.m, rng)
-        lines.append(",".join("1" if l in tree.edges else "0" for l in range(idx.n)))
-    _write_text(args.output, "\n".join(lines) + "\n")
+        lines.append(",".join("1" if l in tree.edges else "0" for l in range(idx.n)) + "\n")
+    _write_text(args.output, "".join(lines))
     return 0
 
 
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", cmd_sample, help="draw assignments (CSV, one per line)")
     circuit_arg(p)
-    p.add_argument("-n", "--count", type=int, default=1)
+    p.add_argument("-n", "--count", type=_count, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
 
@@ -440,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("sample", help="uniform spanning trees (edge-indicator CSV)")
     p.set_defaults(func=cmd_sptree_sample)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("-n", "--count", type=int, default=1)
+    p.add_argument("-n", "--count", type=_count, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
 
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sptree_fraction)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--coloring", required=True)
-    p.add_argument("-n", "--samples", type=int, default=10000)
+    p.add_argument("-n", "--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--strategy", choices=["pair", "single"], default="pair")
     format_flag(p)

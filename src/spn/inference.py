@@ -9,8 +9,11 @@ and sampling runs top-down on the normalized circuit.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping
 
 from .circuit import (
@@ -211,12 +214,30 @@ def is_weight_normalized(circuit: Circuit) -> bool:
 # -- distributions and sampling ----------------------------------------------
 
 
+def _thresholds(masses) -> list[float]:
+    """Per running sum acc_i of `masses`, the least double t_i >= max(acc_0..acc_i).
+
+    No double lies in [acc, t), so for every double u, u < acc exactly when
+    u < t.  The maximum matters only for negative masses (extended
+    circuits) and keeps the list sorted: the first i with u < acc_i is the
+    first with u < max(acc_0..acc_i).  So bisect_right(thresholds, u) is
+    the index an exact Fraction scan of the running sums returns, zero
+    masses skipped the same way, and len(masses) when u is above them all.
+    """
+    out = []
+    for acc in accumulate(masses):
+        t = float(acc)
+        out.append(math.nextafter(t, math.inf) if t < acc else t)
+    return list(accumulate(out, max))
+
+
 @dataclass
 class DistributionHandle:
-    """A D&C circuit with its cached partition function."""
+    """A D&C circuit with its cached partition function and sampling plan."""
 
     circuit: Circuit
     partition: Fraction = field(default=None)
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.partition is None:
@@ -225,6 +246,29 @@ class DistributionHandle:
     def density(self, assignment) -> Fraction:
         return as_fraction(self.circuit.evaluate(assignment)) / self.partition
 
+    def sampling_plan(self) -> tuple[list[tuple], frozenset[int]]:
+        """Per node (kind, variable, thresholds, choices), and the
+        dependency-scope; built on first use, after checking once that the
+        circuit is weight-normalized."""
+        if self._plan is None:
+            circuit = self.circuit
+            if not is_weight_normalized(circuit):
+                raise NotNormalizedError("sampling requires a weight-normalized circuit")
+            steps = []
+            for node in circuit.nodes:
+                if isinstance(node, LeafNode):
+                    f = circuit.leaf_functions[node.leaf_function]
+                    domain = circuit.variables[f.variable].domain
+                    steps.append(("leaf", f.variable, _thresholds(f.table[x] for x in domain), domain))
+                elif isinstance(node, SumNode):
+                    steps.append(("sum", None, _thresholds(node.weights), node.children))
+                elif isinstance(node, ProductNode):
+                    steps.append(("prod", None, None, node.children))
+                else:
+                    steps.append(("const", None, None, ()))
+            self._plan = (steps, circuit.dependency_scope())
+        return self._plan
+
 
 def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     """Draw one assignment top-down from a weight-normalized D&C circuit.
@@ -232,49 +276,24 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     Sum nodes choose one child with probability equal to the edge weight,
     product nodes recurse into all children, and leaves draw their variable
     from the table as a categorical distribution.  Each variable in the
-    dependency-scope is assigned exactly once.
+    dependency-scope is assigned exactly once.  Every choice compares one
+    rng.random() against the node's exact thresholds (see _thresholds).
     """
-    circuit = handle.circuit
-    if not is_weight_normalized(circuit):
-        raise NotNormalizedError("sampling requires a weight-normalized circuit")
+    steps, scope = handle.sampling_plan()
     rng = rng_or_seed if hasattr(rng_or_seed, "random") else make_rng(rng_or_seed)
     assignment: dict[int, Fraction] = {}
-    stack = [circuit.root]
+    stack = [handle.circuit.root]
     while stack:
-        node = circuit.nodes[stack.pop()]
-        if isinstance(node, LeafNode):
-            f = circuit.leaf_functions[node.leaf_function]
-            var = f.variable
+        kind, var, thresholds, choices = steps[stack.pop()]
+        if kind == "prod":
+            stack.extend(choices)
+        elif kind == "sum":
+            stack.append(choices[min(bisect_right(thresholds, rng.random()), len(choices) - 1)])
+        elif kind == "leaf":
             if var in assignment:
                 raise SpnError(f"variable {var} assigned twice; circuit is not D&C")
-            assignment[var] = _categorical(
-                rng, circuit.variables[var].domain, f.table
-            )
-        elif isinstance(node, SumNode):
-            stack.append(node.children[_pick_index(rng, node.weights)])
-        elif isinstance(node, ProductNode):
-            stack.extend(node.children)
-    missing = circuit.dependency_scope() - set(assignment)
+            assignment[var] = choices[min(bisect_right(thresholds, rng.random()), len(choices) - 1)]
+    missing = scope - assignment.keys()
     if missing:
         raise SpnError(f"sampling left variables unassigned: {sorted(missing)}")
     return assignment
-
-
-def _pick_index(rng, weights) -> int:
-    u = rng.random()
-    acc = Fraction(0)
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
-
-
-def _categorical(rng, domain, table):
-    u = rng.random()
-    acc = Fraction(0)
-    for v in domain:
-        acc += table[v]
-        if u < acc:
-            return v
-    return domain[-1]

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateCircuitError,
     ExtendedCircuitError,
     InstanceTooLargeError,
+    SerializationError,
     SpnError,
     TrivialVariableError,
     ZeroCircuitError,
@@ -383,22 +384,34 @@ def cnf_to_extended_spn(clauses: list[list[int]], num_vars: int | None = None) -
 
 
 def parse_dimacs(text: str) -> tuple[list[list[int]], int]:
-    """Parse DIMACS CNF; returns (clauses, num_vars)."""
+    """Parse DIMACS CNF; returns (clauses, num_vars).
+
+    SerializationError names the line and token of a malformed header or
+    literal.
+    """
+
+    def integer(tok, lineno):
+        try:
+            return int(tok)
+        except ValueError:
+            raise SerializationError(f"DIMACS line {lineno}: {tok!r} is not an integer") from None
+
     clauses: list[list[int]] = []
     declared = 0
     current: list[int] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
-                raise SpnError(f"bad DIMACS header: {line!r}")
-            declared = int(parts[2])
+                raise SerializationError(f"DIMACS line {lineno}: bad header {line!r}")
+            declared = integer(parts[2], lineno)
+            integer(parts[3], lineno)  # the clause count is checked, not used
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = integer(tok, lineno)
             if lit == 0:
                 clauses.append(current)
                 current = []

@@ -240,6 +240,38 @@ def brute_triangle_count(m: int, edges: frozenset[int]) -> int:
     return count
 
 
+# -- reference sampler -----------------------------------------------------------
+
+
+def reference_sample(circuit: Circuit, rng) -> dict:
+    """Top-down draw that compares each rng.random() with exact Fraction
+    running sums: the sampler before it compiled float thresholds, kept as
+    the oracle for seeded draws.  Same traversal (stack order), so the same
+    stream of rng.random() calls."""
+    def pick(masses):
+        u = rng.random()
+        acc = Fraction(0)
+        for i, w in enumerate(masses):
+            acc += w
+            if u < acc:
+                return i
+        return len(masses) - 1
+
+    assignment = {}
+    stack = [circuit.root]
+    while stack:
+        node = circuit.nodes[stack.pop()]
+        if isinstance(node, LeafNode):
+            f = circuit.leaf_functions[node.leaf_function]
+            domain = circuit.variables[f.variable].domain
+            assignment[f.variable] = domain[pick([f.table[x] for x in domain])]
+        elif isinstance(node, SumNode):
+            stack.append(node.children[pick(node.weights)])
+        elif isinstance(node, ProductNode):
+            stack.extend(node.children)
+    return assignment
+
+
 # -- fixture circuits ------------------------------------------------------------
 
 

@@ -102,6 +102,32 @@ def test_normalize_then_sample_deterministic():
         assert x[:2] == x[2:]
 
 
+def test_sample_draws_are_pinned():
+    # exact bytes of the seeded stream: a change to the draws or to the
+    # order of rng.random() calls shows here, not only as run-to-run drift
+    built = run_cli(["builtin", "equal", "--n", "6"]).stdout
+    normalized = run_cli(["normalize"], stdin=built).stdout
+    drawn = run_cli(["sample", "-n", "5", "--seed", "7"], stdin=normalized)
+    assert drawn.returncode == 0
+    assert drawn.stdout == "1,1,1,1,1,1\n1,1,0,1,1,0\n0,0,0,0,0,0\n0,0,0,0,0,0\n0,0,1,0,0,1\n"
+
+
+def test_sample_counts():
+    normalized = run_cli(["normalize"], stdin=run_cli(["builtin", "equal", "--n", "4"]).stdout).stdout
+    for args, stdin in ((["sample"], normalized), (["sptree", "sample", "--m", "4"], None)):
+        empty = run_cli([*args, "-n", "0", "--seed", "1"], stdin=stdin)
+        assert (empty.returncode, empty.stdout, empty.stderr) == (0, "", "")
+        negative = run_cli([*args, "-n", "-3", "--seed", "1"], stdin=stdin)
+        assert negative.returncode == 2 and negative.stdout == ""
+        assert "non-negative" in negative.stderr and "Traceback" not in negative.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    # commands that never draw should not pay for importing numpy
+    code = "import sys, spn.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=CHILD_ENV).returncode == 0
+
+
 @pytest.mark.parametrize("name", ["parity", "majority", "count-ones", "equal"])
 def test_builtin_normalize_sample_pipeline(name):
     built = run_cli(["builtin", name, "--n", "6"])
@@ -244,6 +270,8 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
         (["marginalize", "--query", "-", str(circuit)], '{"integrate_over": [1]}', "integrate_over"),
         (["marginalize", "--query", "-", str(circuit)], '{"fixed": {"0": "x"}}', "fixed.0"),
         (["compile", "fpssm", "-"], json.dumps(machine), "domains and transitions"),
+        (["cnf2spn"], "p cnf 2 1\n1 x 0\n", "line 2: 'x'"),
+        (["cnf2spn"], "p cnf two 1\n1 0\n", "line 1: 'two'"),
     ]
     for args, stdin, fragment in cases:
         assert_one_error_line(run_cli(args, stdin=stdin), fragment)

@@ -1,11 +1,15 @@
 """Marginalization, partition function, weight normalization, sampling."""
 
+import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from scipy.stats import chisquare
 
+from spn import inference
 from spn.circuit import CircuitBuilder
 from spn.errors import (
     NotDecomposableCompleteError,
@@ -16,6 +20,7 @@ from spn.errors import (
 from spn.inference import (
     DistributionHandle,
     MarginalQuery,
+    _thresholds,
     apply_integration,
     is_weight_normalized,
     marginalize,
@@ -242,6 +247,71 @@ def test_sampling_requires_normalized_circuit():
     handle = DistributionHandle(build_equal(4))
     with pytest.raises(NotNormalizedError):
         sample(handle, 0)
+
+
+def test_sampling_checks_normalization_once(monkeypatch):
+    calls = []
+    check = inference.is_weight_normalized
+    monkeypatch.setattr(inference, "is_weight_normalized", lambda c: calls.append(c) or check(c))
+    handle = DistributionHandle(normalize_weights(build_equal(6)))
+    rng = make_rng(5)
+    for _ in range(50):
+        sample(handle, rng)
+    assert len(calls) == 1
+
+
+def test_sampler_rejects_draws_of_non_dc_circuits():
+    def circuit(make_root):
+        b = CircuitBuilder()
+        x, y = b.variable([0, 1]), b.variable([0, 1])
+        fx = b.leaf_function(x, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        fy = b.leaf_function(y, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        return b.build(make_root(b, fx, fy))
+
+    # partition=1 skips the D&C gate of DistributionHandle
+    twice = circuit(lambda b, fx, fy: b.product([b.leaf(fx), b.leaf(fx)]))
+    with pytest.raises(SpnError, match="assigned twice"):
+        sample(DistributionHandle(twice, partition=Fraction(1)), 0)
+    either = circuit(lambda b, fx, fy: b.sum([(b.leaf(fx), Fraction(1, 2)), (b.leaf(fy), Fraction(1, 2))]))
+    with pytest.raises(SpnError, match="unassigned"):
+        sample(DistributionHandle(either, partition=Fraction(1)), 0)
+
+
+def fraction_scan(masses, u):
+    """Index of the first running sum above u, by exact comparison."""
+    acc = Fraction(0)
+    for i, w in enumerate(masses):
+        acc += w
+        if u < acc:
+            return i
+    return len(masses)
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        [Fraction(1, 2), Fraction(1, 2)],
+        [Fraction(1, 3)] * 3,
+        [Fraction(1, 7)] * 7,
+        [Fraction(1, 3), 0, Fraction(1, 7), 0, Fraction(11, 21)],
+        [Fraction(1, 10**20), 1 - Fraction(1, 10**20)],
+        [Fraction(4, 3), Fraction(-2, 3), Fraction(1, 3)],
+    ],
+)
+def test_thresholds_decide_like_exact_running_sums(masses):
+    thresholds = _thresholds(masses)
+    # each is the least double >= the largest running sum so far
+    for peak, t in zip(accumulate(accumulate(masses), max), thresholds):
+        assert Fraction(t) >= peak > Fraction(math.nextafter(t, -math.inf))
+    for t in thresholds:
+        for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf), 0.0):
+            assert bisect_right(thresholds, u) == fraction_scan(masses, u)
+
+
+def test_threshold_is_the_sum_or_one_ulp_above():
+    assert _thresholds([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]) == [0.5, 0.75, 1.0]
+    third = _thresholds([Fraction(1, 3)])[0]
+    assert third == math.nextafter(float(Fraction(1, 3)), math.inf)
 
 
 def test_equal_sampler_frequencies():

@@ -13,18 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 from spn.errors import ZeroPartitionError
 from spn.inference import (
+    DistributionHandle,
     MarginalQuery,
     is_weight_normalized,
     marginalize,
     normalize_weights,
     partition_function,
+    sample,
 )
 from spn.polynomial import evaluate_via_expansion
 from spn.rng import make_rng
 from spn.separation import decompose
 from spn.structure import brute_force_validity
 
-from genutil import exhaustive_marginal, random_dc_circuit, random_free_circuit
+from genutil import exhaustive_marginal, random_dc_circuit, random_free_circuit, reference_sample
 
 PROFILE = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -78,6 +80,22 @@ def test_normalize_preserves_density_with_unit_partition(seed):
     assert partition_function(norm) == 1
     for assignment in c.iter_assignments(range(len(c.variables))):
         assert norm.evaluate(assignment) == Fraction(c.evaluate(assignment)) / z
+
+
+@PROFILE
+@given(seeds)
+def test_sample_matches_fraction_reference(seed):
+    # most normalized circuits here have weights or tables with running
+    # sums such as 1/3 or 5/7 that are not doubles
+    try:
+        norm = normalize_weights(small_dc_circuit(make_rng(seed)))
+    except ZeroPartitionError:
+        return
+    handle = DistributionHandle(norm)
+    ours, theirs = make_rng(seed), make_rng(seed)
+    for _ in range(20):
+        assert list(sample(handle, ours).items()) == list(reference_sample(norm, theirs).items())
+    assert ours.random() == theirs.random()
 
 
 @PROFILE
