@@ -48,7 +48,6 @@ from .sptree import (
     constraint_fraction_experiment,
     count_consistent_trees,
     count_dichromatic_triangles,
-    marginal as sptree_marginal,
     sample_tree,
 )
 from .structure import (
@@ -112,7 +111,7 @@ def _parse_partition(spec: str, n: int):
     if spec == "first-half":
         return half_partition(n)
     if spec.startswith("A="):
-        block_a = tuple(int(t) for t in spec[2:].split(",") if t != "")
+        block_a = tuple(_parse_labels(spec[2:], "partition"))
         block_b = tuple(v for v in range(n) if v not in set(block_a))
         return block_a, block_b
     raise SpnError(f"bad partition spec {spec!r}; use 'first-half' or 'A=0,1,2'")
@@ -286,21 +285,18 @@ def cmd_cnf2spn(args):
 
 
 def cmd_sptree_count(args):
-    values = {}
-    for label in _parse_labels(args.present):
-        values[label] = 1
-    for label in _parse_labels(args.absent):
-        values[label] = 0
-    partial = PartialAssignment(values)
-    count = count_consistent_trees(args.m, partial)
+    values = dict.fromkeys(_parse_labels(args.present, "--present"), 1)
+    absent = _parse_labels(args.absent, "--absent")
+    both = sorted(set(values) & set(absent))
+    if both:
+        raise SpnError(f"edge {both[0]} is given as both present and absent")
+    values.update(dict.fromkeys(absent, 0))
+    count = count_consistent_trees(args.m, PartialAssignment(values))
+    total = args.m ** (args.m - 2)
     _emit_report(
         args,
         "sptree-count",
-        {
-            "count": count,
-            "normalized": format_rational(sptree_marginal(args.m, partial, normalized=True)),
-            "total_trees": args.m ** (args.m - 2),
-        },
+        {"count": count, "normalized": format_rational(Fraction(count, total)), "total_trees": total},
     )
     return 0
 
@@ -342,10 +338,17 @@ def cmd_sptree_fraction(args):
     return 0
 
 
-def _parse_labels(spec: str | None) -> list[int]:
-    if not spec:
-        return []
-    return [int(t) for t in spec.split(",") if t != ""]
+def _parse_labels(spec: str | None, what: str) -> list[int]:
+    """Comma-separated integers; `what` names the option in the error."""
+    labels = []
+    for token in (spec or "").split(","):
+        if token == "":
+            continue
+        try:
+            labels.append(int(token))
+        except ValueError:
+            raise SpnError(f"bad {what} entry {token!r}; use integers, e.g. 0,3,5") from None
+    return labels
 
 
 # -- parser ---------------------------------------------------------------------

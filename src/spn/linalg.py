@@ -1,8 +1,9 @@
 """Exact integer/rational linear algebra: determinants and rank.
 
-Determinants use fraction-free Bareiss elimination on integer matrices;
-rank clears denominators row-wise and runs integer elimination with gcd
-reduction.  Everything is exact and deterministic.
+Determinants of symmetric integer matrices use fraction-free Bareiss
+elimination on the upper triangle; rank clears denominators row-wise and
+runs integer elimination with gcd reduction.  Everything is exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -10,34 +11,34 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import SpnError
 
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (O(k^3), fraction-free)."""
+
+def det_symmetric(matrix: list[list[int]]) -> int:
+    """Exact determinant of a symmetric integer matrix (O(k^3), fraction-free).
+
+    Bareiss steps keep the trailing block symmetric, so only its upper
+    triangle is updated, with no row swaps.  A zero pivot with a zero row
+    gives 0; one with a nonzero row raises (impossible if the matrix is
+    positive semidefinite, as a Laplacian minor is).
+    """
     k = len(matrix)
-    if k == 0:
-        return 1
-    m = [list(map(int, row)) for row in matrix]
-    sign = 1
+    a = [list(map(int, row)) for row in matrix]
+    if any(len(row) != k for row in a) or list(map(list, zip(*a))) != a:
+        raise SpnError("determinant needs a square symmetric matrix")
     prev = 1
     for p in range(k - 1):
-        if m[p][p] == 0:
-            for r in range(p + 1, k):
-                if m[r][p] != 0:
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[p][p]
+        row_p = a[p]
+        pivot = row_p[p]
+        if pivot == 0:
+            if any(row_p[p + 1 :]):
+                raise SpnError(f"zero pivot with a nonzero row at {p}: matrix is not positive semidefinite")
+            return 0
         for r in range(p + 1, k):
-            row_r = m[r]
-            row_p = m[p]
-            factor = row_r[p]
-            for c in range(p + 1, k):
-                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
-            row_r[p] = 0
+            f = row_p[r]  # a[r][p] is stale below the diagonal; symmetry gives a[p][r]
+            a[r][r:] = [(pivot * x - f * y) // prev for x, y in zip(a[r][r:], row_p[r:])]
         prev = pivot
-    return sign * m[k - 1][k - 1]
+    return a[-1][-1] if k else 1
 
 
 def _integer_rows(matrix) -> list[list[int]]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InstanceTooLargeError, SpnError
-from .linalg import det_bareiss
+from .linalg import det_symmetric
 from .rng import make_rng
 
 RED = "r"
@@ -64,15 +64,8 @@ class PartialAssignment:
 
     values: dict[int, int]
 
-    @property
-    def fixed_labels(self) -> frozenset[int]:
-        return frozenset(self.values)
-
     def present(self) -> list[int]:
         return sorted(l for l, v in self.values.items() if v == 1)
-
-    def absent(self) -> list[int]:
-        return sorted(l for l, v in self.values.items() if v == 0)
 
 
 @dataclass(frozen=True)
@@ -132,31 +125,30 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     if m < 2:
         raise SpnError("need at least two vertices")
     idx = EdgeIndexing(m)
+    for label, value in partial.values.items():
+        if not 0 <= label < idx.n:
+            raise SpnError(f"edge label {label} out of range for K_{m}")
+        if value not in (0, 1):
+            raise SpnError(f"edge {label} must be fixed to 0 or 1, got {value!r}")
     uf = _UnionFind(m)
     for label in partial.present():
         u, v = idx.pair_of(label)
         if not uf.union(u, v):
             return 0
-    roots = sorted({uf.find(v) for v in range(m)})
-    comp = {r: i for i, r in enumerate(roots)}
-    k = len(roots)
+    index: dict[int, int] = {}
+    comp = [index.setdefault(uf.find(v), len(index)) for v in range(m)]
+    k = len(index)
     if k == 1:
         return 1
     lap = [[0] * k for _ in range(k)]
-    fixed = partial.fixed_labels
-    for label in range(idx.n):
-        if label in fixed:
-            continue
-        u, v = idx.pair_of(label)
-        cu, cv = comp[uf.find(u)], comp[uf.find(v)]
-        if cu == cv:
-            continue
-        lap[cu][cu] += 1
-        lap[cv][cv] += 1
-        lap[cu][cv] -= 1
-        lap[cv][cu] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return det_bareiss(minor)
+    for label, (u, v) in enumerate(combinations(range(m), 2)):
+        cu, cv = comp[u], comp[v]
+        if cu != cv and label not in partial.values:
+            lap[cu][cu] += 1
+            lap[cv][cv] += 1
+            lap[cu][cv] -= 1
+            lap[cv][cu] -= 1
+    return det_symmetric([row[1:] for row in lap[1:]])
 
 
 def marginal(m: int, partial: PartialAssignment, normalized: bool = False):
@@ -211,25 +203,29 @@ def iter_triangles(m: int):
 
 
 def count_dichromatic_triangles(m: int, coloring) -> int:
-    """Exact count of triangles whose three edges are not all one color."""
+    """Exact count of triangles whose three edges are not all one color.
+
+    A dichromatic triangle has exactly two vertices where its two edges
+    differ in color, so the count is sum_v r_v (m - 1 - r_v) / 2 with r_v
+    the red degree of v (Goodman's identity): one pass over the edges.
+    """
     coloring = check_coloring(m, coloring)
-    count = 0
-    for _, labels in iter_triangles(m):
-        colors = {coloring[l] for l in labels}
-        if len(colors) == 2:
-            count += 1
-    return count
+    red_degree = [0] * m
+    for (u, v), color in zip(combinations(range(m), 2), coloring):
+        if color == RED:
+            red_degree[u] += 1
+            red_degree[v] += 1
+    return sum(r * (m - 1 - r) for r in red_degree) // 2
 
 
 def count_triangles(m: int, edges: frozenset[int]) -> int:
     """Triangles of an arbitrary subgraph given as edge labels."""
-    idx = EdgeIndexing(m)
-    pairs = {idx.pair_of(l) for l in edges}
-    count = 0
-    for _, labels in iter_triangles(m):
-        if all(idx.pair_of(l) in pairs for l in labels):
-            count += 1
-    return count
+    edges = frozenset(edges)
+    n = EdgeIndexing(m).n
+    for label in edges:
+        if not 0 <= label < n:
+            raise SpnError(f"edge label {label} out of range")
+    return sum(1 for _, labels in iter_triangles(m) if all(l in edges for l in labels))
 
 
 def fisher_bound(e: int):

@@ -202,6 +202,37 @@ def rank_oracle(matrix) -> int:
     return rank
 
 
+def reference_det(matrix) -> int:
+    """General fraction-free (Bareiss) determinant with row swaps: the
+    determinant before it specialised to symmetric matrices, kept as the
+    oracle for det_symmetric.  Updates the full trailing block."""
+    k = len(matrix)
+    if k == 0:
+        return 1
+    m = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for p in range(k - 1):
+        if m[p][p] == 0:
+            for r in range(p + 1, k):
+                if m[r][p] != 0:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[p][p]
+        for r in range(p + 1, k):
+            row_r = m[r]
+            row_p = m[p]
+            factor = row_r[p]
+            for c in range(p + 1, k):
+                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
+            row_r[p] = 0
+        prev = pivot
+    return sign * m[k - 1][k - 1]
+
+
 def all_spanning_trees(m: int) -> list[frozenset[int]]:
     """Every spanning tree of the complete graph, as edge-label sets."""
     from spn.sptree import EdgeIndexing, density

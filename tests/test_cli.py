@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from spn.circuit import deserialize, serialize
+from spn.sptree import count_consistent_trees
 
 from genutil import incomplete_valid_fixture
 
@@ -49,6 +50,22 @@ def test_sptree_count_cayley():
 def test_sptree_count_with_forced_edges():
     proc = run_cli(["sptree", "count", "--m", "4", "--present", "0"])
     assert json.loads(proc.stdout)["count"] == 8
+
+
+def test_sptree_count_counts_once(monkeypatch, capsys):
+    from spn import cli
+
+    calls = []
+
+    def counting(m, partial):
+        calls.append(m)
+        return count_consistent_trees(m, partial)
+
+    monkeypatch.setattr(cli, "count_consistent_trees", counting)
+    assert cli.main(["sptree", "count", "--m", "6", "--present", "0", "--absent", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == [6]
+    assert Fraction(report["normalized"]) == Fraction(report["count"], 6**4)
 
 
 def test_check_on_incomplete_fixture():
@@ -267,6 +284,12 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
     cases = [
         (["sptree", "count", "--m", "0"], None, "at least two vertices"),
         (["sptree", "count", "--m", "1"], None, "at least two vertices"),
+        (["sptree", "count", "--m", "4", "--present", "x"], None, "'x'"),
+        (["sptree", "count", "--m", "4", "--absent", "x"], None, "'x'"),
+        (["sptree", "count", "--m", "4", "--absent", "99"], None, "edge label 99"),
+        (["sptree", "count", "--m", "4", "--absent", "-1"], None, "edge label -1"),
+        (["sptree", "count", "--m", "4", "--present", "0", "--absent", "0"], None, "both present and absent"),
+        (["rank", "--partition", "A=x", str(circuit)], None, "'x'"),
         (["marginalize", "--query", "-", str(circuit)], '{"integrate_over": [1]}', "integrate_over"),
         (["marginalize", "--query", "-", str(circuit)], '{"fixed": {"0": "x"}}', "fixed.0"),
         (["compile", "fpssm", "-"], json.dumps(machine), "domains and transitions"),

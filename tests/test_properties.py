@@ -6,12 +6,14 @@ that does not share its evaluation path.  The profile is derandomized
 and bounded, so the suite is deterministic and its cost fixed.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.errors import ZeroPartitionError
+from spn.errors import SpnError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
     MarginalQuery,
@@ -21,12 +23,22 @@ from spn.inference import (
     partition_function,
     sample,
 )
+from spn.linalg import det_symmetric
 from spn.polynomial import evaluate_via_expansion
 from spn.rng import make_rng
 from spn.separation import decompose
+from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
 from spn.structure import brute_force_validity
 
-from genutil import exhaustive_marginal, random_dc_circuit, random_free_circuit, reference_sample
+from genutil import (
+    brute_count_consistent,
+    brute_triangle_count,
+    exhaustive_marginal,
+    random_dc_circuit,
+    random_free_circuit,
+    reference_det,
+    reference_sample,
+)
 
 PROFILE = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -114,3 +126,112 @@ def test_decompose_reconstructs_exactly(seed):
         assert all(type(v) is Fraction for v in (*t.g_table.values(), *t.h_table.values()))
     for assignment in c.iter_assignments(range(len(c.variables))):
         assert d.reconstruct(assignment) == c.evaluate(assignment)
+
+
+# -- sptree kernels ----------------------------------------------------------------
+
+
+def random_multigraph(rng, k):
+    """Edge multiplicities 0..3 on k vertices, often zero, so often disconnected."""
+    return {
+        (u, v): int(rng.integers(1, 4)) if rng.random() < 0.4 else 0 for u, v in combinations(range(k), 2)
+    }
+
+
+def is_connected(k, multiplicity):
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(k):
+            if v not in seen and multiplicity[min(u, v), max(u, v)]:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == k
+
+
+@PROFILE
+@given(seeds)
+def test_det_symmetric_of_reduced_laplacians(seed):
+    rng = make_rng(seed)
+    k = int(rng.integers(2, 9))
+    multiplicity = random_multigraph(rng, k)
+    lap = [[0] * k for _ in range(k)]
+    for (u, v), w in multiplicity.items():
+        lap[u][u] += w
+        lap[v][v] += w
+        lap[u][v] -= w
+        lap[v][u] -= w
+    drop = int(rng.integers(k))
+    minor = [[x for j, x in enumerate(row) if j != drop] for i, row in enumerate(lap) if i != drop]
+    det = det_symmetric(minor)
+    assert det == reference_det(minor)
+    assert (det > 0) == is_connected(k, multiplicity)
+
+
+@PROFILE
+@given(seeds)
+def test_det_symmetric_of_gram_matrices(seed):
+    # B^T B with fewer rows than columns, or repeated columns, is singular
+    rng = make_rng(seed)
+    k = int(rng.integers(1, 7))
+    rows = int(rng.integers(1, 8))
+    b = [[int(x) for x in rng.integers(-3, 4, size=k)] for _ in range(rows)]
+    if k > 1 and rng.random() < 0.3:
+        for row in b:
+            row[-1] = row[0]
+    gram = [[sum(row[i] * row[j] for row in b) for j in range(k)] for i in range(k)]
+    assert det_symmetric(gram) == reference_det(gram)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 2]]])
+def test_det_symmetric_rejects_non_symmetric_and_indefinite_zero_pivots(matrix):
+    with pytest.raises(SpnError):
+        det_symmetric(matrix)
+
+
+@PROFILE
+@given(seeds)
+def test_dichromatic_count_matches_brute_triangles(seed):
+    rng = make_rng(seed)
+    m = int(rng.integers(3, 13))
+    red_share = rng.random()
+    coloring = ["r" if rng.random() < red_share else "b" for _ in range(EdgeIndexing(m).n)]
+    mono = sum(
+        brute_triangle_count(m, frozenset(l for l, c in enumerate(coloring) if c == color)) for color in "rb"
+    )
+    assert count_dichromatic_triangles(m, coloring) == math.comb(m, 3) - mono
+
+
+def random_partial(rng, n, p_present, p_absent):
+    values = {}
+    for label in range(n):
+        r = rng.random()
+        if r < p_present:
+            values[label] = 1
+        elif r < p_present + p_absent:
+            values[label] = 0
+    return values
+
+
+@settings(PROFILE, max_examples=100)
+@given(seeds)
+def test_tree_count_matches_enumeration(seed):
+    rng = make_rng(seed)
+    m = int(rng.integers(2, 6))
+    values = random_partial(rng, EdgeIndexing(m).n, 0.25, 0.3)
+    assert count_consistent_trees(m, PartialAssignment(values)) == brute_count_consistent(m, values)
+
+
+@settings(PROFILE, max_examples=50)
+@given(seeds)
+def test_tree_count_present_plus_absent_at_m20(seed):
+    rng = make_rng(seed)
+    m = 20
+    n = EdgeIndexing(m).n
+    values = random_partial(rng, n, 0.02, 0.3)
+    free = [label for label in range(n) if label not in values]
+    edge = free[int(rng.integers(len(free)))]
+    whole = count_consistent_trees(m, PartialAssignment(values))
+    present = count_consistent_trees(m, PartialAssignment({**values, edge: 1}))
+    absent = count_consistent_trees(m, PartialAssignment({**values, edge: 0}))
+    assert present + absent == whole

@@ -77,6 +77,12 @@ def test_forced_cycle_gives_zero():
     assert count_consistent_trees(4, partial) == 0
 
 
+@pytest.mark.parametrize("values", [{6: 0}, {-1: 0}, {99: 1}, {0: 2}, {0: -1}])
+def test_count_rejects_bad_labels_and_values(values):
+    with pytest.raises(SpnError):
+        count_consistent_trees(4, PartialAssignment(values))
+
+
 def test_marginals():
     assert marginal(4, PartialAssignment({}), normalized=True) == 1
     assert marginal(4, PartialAssignment({0: 1}), normalized=True) == Fraction(1, 2)
@@ -209,6 +215,13 @@ def test_fisher_bound_audit_random_graphs():
         assert triangles_within_fisher(t, len(edges))
         bound = fisher_bound(len(edges))
         assert t <= bound or abs(float(bound) - t) < 1e-9
+
+
+def test_count_triangles_rejects_out_of_range_labels():
+    assert count_triangles(4, [0, 1, 3]) == 1
+    for label in (6, -1):
+        with pytest.raises(SpnError):
+            count_triangles(4, frozenset([0, 1, label]))
 
 
 # -- dichotomy and the fraction experiment -----------------------------------------
