@@ -195,30 +195,27 @@ class Circuit:
 
     # -- scopes ----------------------------------------------------------
 
-    def scopes(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
-        """Per node: (scope as leaf-function ids, dependency-scope as variable ids)."""
+    def scopes(self) -> list[frozenset[int]]:
+        """Per node id: its dependency-scope, the variable ids its output depends on.
+
+        Equal scopes are one shared frozenset, so memory grows with the
+        number of distinct scopes rather than with the node count.
+        """
         if self._scopes is None:
-            out = {}
+            interned: dict[frozenset[int], frozenset[int]] = {}
+            out = []
             for node in self.nodes:
                 if isinstance(node, LeafNode):
-                    f = self.leaf_functions[node.leaf_function]
-                    out[node.id] = (frozenset([f.id]), frozenset([f.variable]))
-                elif isinstance(node, ConstantNode):
-                    out[node.id] = (frozenset(), frozenset())
+                    scope = frozenset([self.leaf_functions[node.leaf_function].variable])
                 else:
-                    fs: set[int] = set()
-                    vs: set[int] = set()
-                    for c in node.children:
-                        cf, cv = out[c]
-                        fs |= cf
-                        vs |= cv
-                    out[node.id] = (frozenset(fs), frozenset(vs))
+                    scope = frozenset().union(*(out[c] for c in node_children(node)))
+                out.append(interned.setdefault(scope, scope))
             self._scopes = out
         return self._scopes
 
     def dependency_scope(self, node: int | None = None) -> frozenset[int]:
         """Variable ids a node's output depends on (default: the root)."""
-        return self.scopes()[self.root if node is None else node][1]
+        return self.scopes()[self.root if node is None else node]
 
     def reachable(self, node: int | None = None) -> frozenset[int]:
         """Node ids in the subcircuit rooted at `node` (default: the root)."""
@@ -313,12 +310,6 @@ class Circuit:
             except (KeyError, TypeError):
                 raise DomainError(f"value {assignment[var]} not in domain of variable {var}") from None
         return selection
-
-    def check_assignment(self, assignment) -> Mapping:
-        """Validate that an assignment covers the dependency-scope with in-domain values."""
-        assignment = self._normalize_assignment(assignment)
-        self.select(assignment)
-        return assignment
 
     def evaluate(self, assignment) -> Rational:
         """One bottom-up pass computing the circuit output at a full assignment."""

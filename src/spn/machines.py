@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, CircuitBuilder, as_fraction
-from .errors import DomainError, SpnError
+from .circuit import Circuit, CircuitBuilder, _array, _checked, _field, as_fraction
+from .errors import DomainError, SerializationError, SpnError
+from .structure import excise
 
 BINARY = (Fraction(0), Fraction(1))
 
@@ -41,6 +42,8 @@ class Fpssm:
         if not (0 <= self.initial_state < k):
             raise SpnError("initial state out of range")
         for i in range(self.n):
+            if set(self.transitions[i]) != set(self.domains[i]):
+                raise SpnError(f"transition table of variable {i} must have one entry per domain value")
             for value in self.domains[i]:
                 nxt = self.transitions[i][value]
                 if len(nxt) != k or any(not (0 <= s < k) for s in nxt):
@@ -127,46 +130,43 @@ def fpssm_to_fplm(m: Fpssm) -> Fplm:
     )
 
 
-def fplm_to_spn(m: Fplm, share_leaf_tables: bool = False) -> Circuit:
+def fplm_to_spn(m: Fplm) -> Circuit:
     """Stage-wise circuit realizing the matrix chain.
 
-    Each stage turns the k working nodes into the next k via k^2 product
-    nodes (a fresh leaf function per matrix cell holding that entry as a
-    function of the stage's variable) and k weight-1 sum nodes; constants
-    initialize the chain with `a` and one final sum applies `b`.  The
-    result is decomposable and complete by construction.
+    Each stage turns the working nodes, one per state, into the next ones:
+    state r becomes a weight-1 sum, over the states c, of the product of a
+    leaf (matrix cell (r, c) as a function of the stage's variable) and
+    working node c.  Constants initialize the chain with `a`, and one
+    final sum applies `b`.  Zero entries of `a` and `b` and cells that are
+    zero at every value add no node, cells with equal tables share one
+    leaf, and states that cannot reach the output are excised; a model
+    whose output is zero everywhere compiles to a single constant-0 root.
+    The result is decomposable and complete by construction, with at most
+    k^2 leaves, k^2 products and k sums per stage.
     """
     b = CircuitBuilder()
     for domain in m.domains:
         b.variable(domain)
     k = m.dim
-    fn_cache: dict = {}
-
-    def cell_fn(var: int, table_items: tuple, name: str) -> int:
-        if share_leaf_tables:
-            key = (var, table_items)
-            if key not in fn_cache:
-                fn_cache[key] = b.leaf_function(var, dict(table_items), name)
-            return fn_cache[key]
-        return b.leaf_function(var, dict(table_items), name)
-
-    working = [b.constant(x) for x in m.a]
+    leaves: dict = {}  # (variable, table) -> leaf node
+    working = [b.constant(x) if x else None for x in m.a]
     for stage, var in enumerate(m.order):
         domain = m.domains[var]
         new_working = []
-        rows = []
         for r in range(k):
-            row_products = []
+            products = []
             for c in range(k):
                 table = tuple((v, m.matrices[var][v][r][c]) for v in domain)
-                fid = cell_fn(var, table, name=f"t{stage}_{r}{c}")
-                row_products.append(b.product([b.leaf(fid), working[c]]))
-            rows.append(row_products)
-        for r in range(k):
-            new_working.append(b.sum([(p, 1) for p in rows[r]]))
+                if working[c] is None or not any(x for _, x in table):
+                    continue
+                key = (var, table)
+                if key not in leaves:
+                    leaves[key] = b.leaf(b.leaf_function(var, dict(table), name=f"t{stage}_{r}{c}"))
+                products.append((b.product([leaves[key], working[c]]), 1))
+            new_working.append(b.sum(products) if products else None)
         working = new_working
-    root = b.sum([(working[r], m.b[r]) for r in range(k)])
-    return b.build(root)
+    outputs = [(w, x) for w, x in zip(working, m.b) if w is not None and x]
+    return excise(b.build(b.sum(outputs) if outputs else b.constant(0)), [])
 
 
 # -- built-in machines --------------------------------------------------------
@@ -223,8 +223,8 @@ def majority_machine(n: int) -> Fpssm:
     )
 
 
-def compile_fpssm(m: Fpssm, share_leaf_tables: bool = False) -> Circuit:
-    return fplm_to_spn(fpssm_to_fplm(m), share_leaf_tables=share_leaf_tables)
+def compile_fpssm(m: Fpssm) -> Circuit:
+    return fplm_to_spn(fpssm_to_fplm(m))
 
 
 # -- the depth-4 half-equality circuit ----------------------------------------
@@ -270,22 +270,28 @@ def build_equal(n: int) -> Circuit:
 
 
 def fpssm_from_json_dict(doc: dict) -> Fpssm:
-    try:
-        n = int(doc["n"])
-        domains = tuple(
-            tuple(as_fraction(v) for v in d) for d in doc.get("domains", [["0", "1"]] * n)
-        )
-        transitions = tuple(
-            {as_fraction(v): tuple(nxt) for v, nxt in t.items()} for t in doc["transitions"]
-        )
-        return Fpssm(
-            n=n,
-            order=tuple(doc.get("order", range(n))),
-            state_size=int(doc["state_size"]),
-            initial_state=int(doc["initial_state"]),
-            transitions=transitions,
-            decode=tuple(as_fraction(h) for h in doc["decode"]),
-            domains=domains,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpnError(f"malformed FPSSM document: {exc}") from exc
+    """FPSSM from its JSON document; SerializationError names the first malformed field."""
+    if not isinstance(doc, dict):
+        raise SerializationError("machine document must be a JSON object")
+    n = _field(doc, "n", int, "")
+    transitions = [
+        {_checked(v, Fraction, f"transitions[{i}]"): tuple(_array(t, v, int, f"transitions[{i}]")) for v in t}
+        for i, t in enumerate(_array(doc, "transitions", dict, ""))
+    ]
+    if len(transitions) != n:  # before the defaults below allocate n entries
+        raise SerializationError(f"transitions: expected {n} tables, got {len(transitions)}")
+    domains = [BINARY] * n
+    if "domains" in doc:
+        domains = [
+            tuple(_checked(x, Fraction, f"domains[{i}][{j}]") for j, x in enumerate(d))
+            for i, d in enumerate(_array(doc, "domains", list, ""))
+        ]
+    return Fpssm(
+        n=n,
+        order=tuple(_array(doc, "order", int, "") if "order" in doc else range(n)),
+        state_size=_field(doc, "state_size", int, ""),
+        initial_state=_field(doc, "initial_state", int, ""),
+        transitions=tuple(transitions),
+        decode=tuple(_array(doc, "decode", Fraction, "")),
+        domains=tuple(domains),
+    )

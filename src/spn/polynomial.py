@@ -62,14 +62,6 @@ class SparsePolynomial:
             and self.terms == other.terms
         )
 
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        groups = dict(self.variable_groups)
-        groups.update(other.variable_groups)
-        return SparsePolynomial(terms, groups)
-
     def evaluate(self, values: dict[int, object]):
         """Evaluate at a map leaf-function id -> rational value."""
         total = Fraction(0)
@@ -166,44 +158,12 @@ def is_set_multilinear(p: SparsePolynomial) -> bool:
     return True
 
 
-def multilinear_identity_test(p: SparsePolynomial, q: SparsePolynomial, max_vars: int = 24) -> bool:
-    """Decide p == q as polynomials by evaluating p - q over the Boolean cube.
+def multilinear_identity_test(p: SparsePolynomial, q: SparsePolynomial) -> bool:
+    """Decide p == q as polynomials; both inputs must be multilinear.
 
-    Both inputs must be multilinear; agreement on {0,1}^l then certifies
-    equality everywhere.  The combined variable count l must be <= max_vars.
+    Term maps are canonical (sorted monomials, like terms collected, no
+    zero coefficients), so p == q exactly when the term maps are equal.
     """
     if not is_multilinear(p) or not is_multilinear(q):
         raise SpnError("identity test requires multilinear polynomials")
-    fids = sorted(p.scope() | q.scope())
-    if len(fids) > max_vars:
-        raise SpnError(f"too many variables for cube enumeration: {len(fids)} > {max_vars}")
-    index = {fid: i for i, fid in enumerate(fids)}
-    diff = p - q
-    if diff.is_zero():
-        return True
-    masked = [
-        (sum(1 << index[fid] for fid, _ in m), c) for m, c in diff.terms.items()
-    ]
-    for point in range(1 << len(fids)):
-        total = Fraction(0)
-        for tmask, c in masked:
-            if tmask & point == tmask:
-                total += c
-        if total != 0:
-            return False
-    return True
-
-
-def evaluate_via_expansion(circuit: Circuit, assignment) -> Fraction:
-    """Evaluate by substituting leaf-table values into the expanded polynomial.
-
-    Cross-check oracle for Circuit.evaluate on small circuits.
-    """
-    assignment = circuit.check_assignment(assignment)
-    p = expand(circuit)
-    values = {
-        f.id: f.table[as_fraction(assignment[f.variable])]
-        for f in circuit.leaf_functions
-        if f.variable in assignment
-    }
-    return p.evaluate(values)
+    return p.terms == q.terms

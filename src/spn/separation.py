@@ -58,6 +58,10 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
     `fn` takes a tuple of n zeros/ones indexed by variable id.
     """
     block_a, block_b = (tuple(sorted(partition[0])), tuple(sorted(partition[1])))
+    for block in (block_a, block_b):
+        for v, w in zip(block, block[1:]):
+            if v == w:
+                raise SpnError(f"partition block repeats variable {v}")
     if set(block_a) & set(block_b):
         raise SpnError("partition blocks overlap")
     if set(block_a) | set(block_b) != set(range(n)):
@@ -209,11 +213,11 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
         # walk: first node on the largest-child path with scope <= 2n/3
         scopes = work.scopes()
         node = work.root
-        while 3 * len(scopes[node][1]) > 2 * n:
+        while 3 * len(scopes[node]) > 2 * n:
             kids = node_children(work.nodes[node])
-            node = max(kids, key=lambda c: (len(scopes[c][1]), -c))
-        y_vars = tuple(sorted(scopes[node][1]))
-        z_vars = tuple(v for v in range(n) if v not in scopes[node][1])
+            node = max(kids, key=lambda c: (len(scopes[c]), -c))
+        y_vars = tuple(sorted(scopes[node]))
+        z_vars = tuple(v for v in range(n) if v not in scopes[node])
         if 3 * len(y_vars) < n:
             raise SpnError("balanced-node walk failed; circuit is not D&C")
         if len(y_vars) > max_table_vars or len(z_vars) > max_table_vars:

@@ -187,6 +187,8 @@ def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
 
 def check_coloring(m: int, coloring) -> tuple[str, ...]:
     idx = EdgeIndexing(m)
+    if not isinstance(coloring, (list, tuple)):
+        raise SpnError("coloring must be an array of 'r'/'b' entries")
     coloring = tuple(coloring)
     if len(coloring) != idx.n:
         raise SpnError(f"coloring must assign all {idx.n} edges")

@@ -60,7 +60,7 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
         if isinstance(node, ProductNode):
             seen: set[int] = set()
             for c in node.children:
-                dep = scopes[c][1]
+                dep = scopes[c]
                 if seen & dep:
                     violations.append(node.id)
                     break
@@ -75,7 +75,7 @@ def check_complete(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     violations = []
     for node in circuit.nodes:
         if isinstance(node, SumNode):
-            deps = {scopes[c][1] for c in node.children}
+            deps = {scopes[c] for c in node.children}
             if len(deps) > 1:
                 violations.append(node.id)
     return (not violations, tuple(violations))
@@ -239,11 +239,11 @@ def complete_transform(circuit: Circuit) -> Circuit:
         elif isinstance(node, ProductNode):
             remap[node.id] = b.product([remap[c] for c in node.children])
         else:
-            own_dep = scopes[node.id][1]
+            own_dep = scopes[node.id]
             pairs = []
             for c, w in zip(node.children, node.weights):
-                missing = own_dep - scopes[c][1]
-                pairs.append(((wrapped(c, frozenset(missing)) if missing else remap[c]), w))
+                missing = own_dep - scopes[c]
+                pairs.append((wrapped(c, missing) if missing else remap[c], w))
             remap[node.id] = b.sum(pairs)
     return b.build(remap[circuit.root])
 

@@ -21,6 +21,7 @@ from spn.circuit import (
     SumNode,
     node_children,
 )
+from spn.polynomial import expand
 from spn.structure import prune_degenerate
 
 
@@ -152,6 +153,24 @@ def exhaustive_marginal(circuit: Circuit, integrate_over: dict, fixed: dict):
         point.update(zip(variables, combo))
         total += circuit.evaluate(point)
     return total
+
+
+def evaluate_via_expansion(circuit: Circuit, assignment: dict) -> Fraction:
+    """Substitute leaf-table values into the expanded output polynomial."""
+    circuit.select(assignment)  # the evaluator's UnknownVariableError / DomainError contract
+    values = {
+        f.id: f.table[Fraction(assignment[f.variable])]
+        for f in circuit.leaf_functions
+        if f.variable in assignment
+    }
+    return expand(circuit).evaluate(values)
+
+
+def leaf_function_scope(circuit: Circuit, node: int | None = None) -> frozenset[int]:
+    """Leaf-function ids of the leaves reachable from `node` (default: the root)."""
+    return frozenset(
+        circuit.nodes[i].leaf_function for i in circuit.reachable(node) if isinstance(circuit.nodes[i], LeafNode)
+    )
 
 
 def path_search_metrics(circuit: Circuit):

@@ -82,12 +82,16 @@ def test_scopes():
     l1 = b.leaf(f11)
     l2 = b.leaf(f21)
     k = b.constant(2)
-    p = b.product([l1, l2, k])
+    s = b.sum([(l1, 1), (b.leaf(f11), 2)])
+    p = b.product([s, l2, k])
     c = b.build(p)
     scopes = c.scopes()
-    assert scopes[k] == (frozenset(), frozenset())
-    assert scopes[l1] == (frozenset([f11]), frozenset([x1]))
-    assert scopes[p] == (frozenset([f11, f21]), frozenset([x1, x2]))
+    assert scopes[k] == frozenset()
+    assert scopes[l1] == frozenset([x1])
+    assert scopes[p] == frozenset([x1, x2])
+    assert c.dependency_scope() == frozenset([x1, x2])
+    # equal scopes are one shared object
+    assert scopes[s] is scopes[l1] is scopes[s - 1]
 
 
 def test_metrics_basics():

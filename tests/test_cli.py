@@ -281,7 +281,20 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
         "transitions": [{"0": [0, 1], "1": [1, 0]} for _ in range(2)],
         "decode": ["0", "1"],
     }
-    cases = [
+    parity = {**machine, "domains": [["0", "1"]] * 2}
+    colorings = []
+    for name, doc in (("five", "5"), ("object", "{}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        colorings += [
+            (["sptree", "triangles", "--m", "4", "--coloring", str(path)], None, "coloring must be an array"),
+            (
+                ["sptree", "fraction-experiment", "--m", "4", "--seed", "1", "--coloring", str(path)],
+                None,
+                "coloring must be an array",
+            ),
+        ]
+    cases = colorings + [
         (["sptree", "count", "--m", "0"], None, "at least two vertices"),
         (["sptree", "count", "--m", "1"], None, "at least two vertices"),
         (["sptree", "count", "--m", "4", "--present", "x"], None, "'x'"),
@@ -290,9 +303,17 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
         (["sptree", "count", "--m", "4", "--absent", "-1"], None, "edge label -1"),
         (["sptree", "count", "--m", "4", "--present", "0", "--absent", "0"], None, "both present and absent"),
         (["rank", "--partition", "A=x", str(circuit)], None, "'x'"),
+        (["rank", "--partition", "A=0,0", str(circuit)], None, "repeats variable 0"),
         (["marginalize", "--query", "-", str(circuit)], '{"integrate_over": [1]}', "integrate_over"),
         (["marginalize", "--query", "-", str(circuit)], '{"fixed": {"0": "x"}}', "fixed.0"),
         (["compile", "fpssm", "-"], json.dumps(machine), "domains and transitions"),
+        (["compile", "fpssm", "-"], json.dumps({**parity, "transitions": [1, 2]}), "transitions[0]: expected an object"),
+        (["compile", "fpssm", "-"], json.dumps({**parity, "decode": "01"}), "decode: expected an array"),
+        (
+            ["compile", "fpssm", "-"],
+            json.dumps({**parity, "transitions": [{"0": [0, 1], "1": [1, 0]}, {"0": [0, 1]}]}),
+            "variable 1 must have one entry per domain value",
+        ),
         (["cnf2spn"], "p cnf 2 1\n1 x 0\n", "line 2: 'x'"),
         (["cnf2spn"], "p cnf two 1\n1 0\n", "line 1: 'two'"),
     ]

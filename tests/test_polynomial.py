@@ -9,7 +9,6 @@ from spn.errors import SpnError, TermExplosionError
 from spn.machines import build_equal
 from spn.polynomial import (
     SparsePolynomial,
-    evaluate_via_expansion,
     expand,
     is_multilinear,
     is_set_multilinear,
@@ -17,7 +16,7 @@ from spn.polynomial import (
 )
 from spn.rng import make_rng
 
-from genutil import incomplete_valid_fixture, random_free_circuit
+from genutil import evaluate_via_expansion, incomplete_valid_fixture, leaf_function_scope, random_free_circuit
 
 # groups used by the hand-written polynomials below: f0,f1 belong to
 # variable 0 and f2,f3 to variable 1
@@ -141,14 +140,14 @@ def test_node_scope_contains_polynomial_scope_with_equality_after_pruning():
     checked = 0
     while checked < 40:
         c = random_free_circuit(rng, pruned=False, zero_weights=True)
-        node_scope = c.scopes()[c.root][0]
+        node_scope = leaf_function_scope(c)
         assert expand(c).scope() <= node_scope
         try:
             pruned = prune_degenerate(c)
         except ZeroCircuitError:
             continue
         checked += 1
-        assert expand(pruned).scope() == pruned.scopes()[pruned.root][0]
+        assert expand(pruned).scope() == leaf_function_scope(pruned)
 
 
 def test_identity_test_iff_equal_term_maps():

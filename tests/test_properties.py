@@ -8,11 +8,12 @@ and bounded, so the suite is deterministic and its cost fixed.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spn.circuit import ProductNode, SumNode
 from spn.errors import SpnError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
@@ -24,15 +25,23 @@ from spn.inference import (
     sample,
 )
 from spn.linalg import det_symmetric
-from spn.polynomial import evaluate_via_expansion
+from spn.machines import Fpssm, compile_fpssm, eval_fpssm
 from spn.rng import make_rng
-from spn.separation import decompose
+from spn.separation import binarize_products, decompose
 from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
-from spn.structure import brute_force_validity
+from spn.structure import (
+    brute_force_validity,
+    check_complete,
+    check_decomposable,
+    complete_transform,
+    degeneracy_offenders,
+    is_dc,
+)
 
 from genutil import (
     brute_count_consistent,
     brute_triangle_count,
+    evaluate_via_expansion,
     exhaustive_marginal,
     random_dc_circuit,
     random_free_circuit,
@@ -126,6 +135,65 @@ def test_decompose_reconstructs_exactly(seed):
         assert all(type(v) is Fraction for v in (*t.g_table.values(), *t.h_table.values()))
     for assignment in c.iter_assignments(range(len(c.variables))):
         assert d.reconstruct(assignment) == c.evaluate(assignment)
+
+
+@PROFILE
+@given(seeds)
+def test_complete_transform_preserves_values(seed):
+    c = random_free_circuit(make_rng(seed))
+    done = complete_transform(c)
+    assert check_complete(done)[0]
+    assert check_decomposable(done)[0] == check_decomposable(c)[0]
+    fan_in = sum(len(node.children) for node in c.nodes if isinstance(node, SumNode))
+    assert len(done.nodes) <= len(c.nodes) + len(c.variables) + fan_in
+    for assignment in c.iter_assignments(range(len(c.variables))):
+        assert done.evaluate(assignment) == c.evaluate(assignment)
+
+
+@PROFILE
+@given(seeds)
+def test_binarize_products_preserves_values(seed):
+    c = random_free_circuit(make_rng(seed))
+    binary = binarize_products(c)
+    assert all(len(node.children) <= 2 for node in binary.nodes if isinstance(node, ProductNode))
+    assert check_decomposable(binary)[0] == check_decomposable(c)[0]
+    for assignment in c.iter_assignments(range(len(c.variables))):
+        assert binary.evaluate(assignment) == c.evaluate(assignment)
+
+
+# -- machine compiler --------------------------------------------------------------
+
+
+def random_fpssm(rng):
+    """n <= 5 variables over domains of 1-3 values, k <= 4 states, decodes with zeros."""
+    n, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    domains = tuple(tuple(Fraction(x) for x in range(int(rng.integers(1, 4)))) for _ in range(n))
+    decode = (0,) * k if rng.random() < 0.15 else tuple(int(h) for h in rng.integers(0, 3, size=k))
+    return Fpssm(
+        n=n,
+        order=tuple(int(i) for i in rng.permutation(n)),
+        state_size=k,
+        initial_state=int(rng.integers(k)),
+        transitions=tuple({x: tuple(int(s) for s in rng.integers(0, k, size=k)) for x in d} for d in domains),
+        decode=tuple(Fraction(h) for h in decode),
+        domains=domains,
+    )
+
+
+@PROFILE
+@given(seeds)
+def test_compiled_fpssm_matches_machine(seed):
+    m = random_fpssm(make_rng(seed))
+    c = compile_fpssm(m)
+    assert is_dc(c)
+    n, k = m.n, m.state_size
+    # per stage at most k^2 leaves, k^2 products and k sums, plus one
+    # constant and the root: within 3 n k^2 once k >= 2
+    assert len(c.nodes) <= (3 * n * k * k if k > 1 else 3 * n + 2)
+    values = [eval_fpssm(m, x) for x in iter_product(*m.domains)]
+    assert [c.evaluate(x) for x in iter_product(*m.domains)] == values
+    # no zero weight or constant, except the one constant-0 root of a zero machine
+    assert not degeneracy_offenders(c) if any(values) else len(c.nodes) == 1
 
 
 # -- sptree kernels ----------------------------------------------------------------
