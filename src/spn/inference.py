@@ -29,7 +29,6 @@ from .circuit import (
     as_fraction,
 )
 from .errors import (
-    DomainError,
     NotDecomposableCompleteError,
     NotNormalizedError,
     SpnError,
@@ -37,7 +36,7 @@ from .errors import (
     ZeroPartitionError,
 )
 from .rng import make_rng
-from .structure import excise, is_dc
+from .structure import is_dc, rewrite
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,21 @@ class MarginalQuery:
             )
         selection = [(0,)] * len(circuit.variables)
         for v, s in self.integrate_over.items():
-            if not s:
-                raise SpnError(f"empty integration set for variable {v}")
-            try:
-                selection[v] = tuple(circuit.position(v, x) for x in s)
-            except DomainError:
-                raise DomainError(f"integration set for variable {v} leaves the domain") from None
+            selection[v] = _set_positions(circuit, v, s)
         for v, x in self.fixed.items():
-            try:
-                selection[v] = (circuit.position(v, x),)
-            except DomainError:
-                raise DomainError(f"fixed value {x} not in domain of variable {v}") from None
+            selection[v] = (circuit.position(v, x),)
         return selection
+
+
+def _set_positions(circuit: Circuit, v: int, values) -> tuple[int, ...]:
+    """Domain positions of variable `v`'s integration set: non-empty, in the domain, no value twice."""
+    if not values:
+        raise SpnError(f"empty integration set for variable {v}")
+    positions = tuple(circuit.position(v, x) for x in values)
+    for i, x in enumerate(values):
+        if positions[i] in positions[:i]:
+            raise SpnError(f"integration set for variable {v} repeats value {x}")
+    return positions
 
 
 def _require_dc(circuit: Circuit, force: bool):
@@ -132,9 +134,13 @@ def apply_integration(circuit: Circuit, integrate_over: Mapping) -> Circuit:
     """Replace each leaf table of an integrated variable by its constant partial sum.
 
     The result has identical structure; composing marginal queries through
-    it equals one joint query.
+    it equals one joint query.  Integration sets are checked as in marginal queries.
     """
     sets = {int(v): tuple(as_fraction(x) for x in s) for v, s in integrate_over.items()}
+    for v, s in sets.items():
+        if not 0 <= v < len(circuit.variables):
+            raise UnknownVariableError(f"unknown variable {v}")
+        _set_positions(circuit, v, s)
     new_fns = []
     for f in circuit.leaf_functions:
         if f.variable in sets:
@@ -155,40 +161,36 @@ def normalize_weights(circuit: Circuit) -> Circuit:
 
     One bottom-up pass with every variable integrated over its whole
     domain gives each node's partition value Z.  Nodes with Z = 0 compute
-    zero everywhere and are excised.  Then each sum edge weight w becomes
-    w * Z(child) / Z(sum), each leaf table is divided by its sum and each
-    constant becomes one, so every node computes its old value over its Z
-    (local normalization, Peharz et al., AISTATS 2015).  Requires a
-    decomposable and complete monotone circuit; ZeroPartitionError means
-    Z(root) = 0.
+    zero everywhere and are excised, and so are nodes the root no longer
+    reaches; leaf-function ids are kept.  Then each sum edge weight w
+    becomes w * Z(child) / Z(sum), each leaf table is divided by its sum
+    and each constant becomes one, so every node computes its old value
+    over its Z (local normalization, Peharz et al., AISTATS 2015).
+    Requires a decomposable and complete monotone circuit;
+    ZeroPartitionError means Z(root) = 0.
     """
     if circuit.extended:
         raise NotDecomposableCompleteError("cannot normalize an extended circuit")
     if not is_dc(circuit):
         raise NotDecomposableCompleteError("weight normalization requires a D&C circuit")
-    full = [tuple(range(len(v.domain))) for v in circuit.variables]
-    z = circuit.evaluate_selection(full)
+    z = circuit.evaluate_selection([tuple(range(len(v.domain))) for v in circuit.variables])
     if z[circuit.root] == 0:
         raise ZeroPartitionError("partition function is zero")
-    if 0 in z:
-        circuit = excise(circuit, [i for i, zi in enumerate(z) if zi == 0])
-        z = circuit.evaluate_selection(full)
+
+    def rule(node, new, emit):
+        # excising the Z = 0 nodes leaves every other node's Z unchanged
+        if z[node.id] == 0:
+            return None
+        if isinstance(node, SumNode):
+            return emit(SumNode, ((new[c], w * z[c] / z[node.id]) for c, w in zip(node.children, node.weights)))
+        return emit(ConstantNode, Fraction(1)) if isinstance(node, ConstantNode) else node
 
     new_fns = []
     for f in circuit.leaf_functions:
         total = sum(f.table.values())
         table = {k: v / total for k, v in f.table.items()} if total else f.table
         new_fns.append(LeafFunction(f.id, f.variable, table, f.name))
-    new_nodes = []
-    for node in circuit.nodes:
-        if isinstance(node, SumNode):
-            weights = tuple(w * z[c] / z[node.id] for c, w in zip(node.children, node.weights))
-            new_nodes.append(SumNode(node.id, node.children, weights))
-        elif isinstance(node, ConstantNode):
-            new_nodes.append(ConstantNode(node.id, Fraction(1)))
-        else:
-            new_nodes.append(node)
-    return Circuit(circuit.variables, new_fns, new_nodes, circuit.root, circuit.extended)
+    return rewrite(circuit, rule, new_fns)
 
 
 def is_weight_normalized(circuit: Circuit) -> bool:

@@ -14,11 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, CircuitBuilder, _array, _checked, _field, as_fraction
+from .circuit import Circuit, CircuitBuilder, ConstantNode, _array, _checked, _field, as_fraction
 from .errors import DomainError, SerializationError, SpnError
 from .structure import excise
 
 BINARY = (Fraction(0), Fraction(1))
+
+
+def _table_entries(n, order, domains, tables, what) -> list[tuple[int, object]]:
+    """(variable, entry) per domain value of each variable, once `order` permutes
+    0..n-1 and each of the n `tables` maps exactly its variable's domain."""
+    if sorted(order) != list(range(n)):
+        raise SpnError("order must be a permutation of the variables")
+    if len(domains) != n or len(tables) != n:
+        raise SpnError(f"domains and {what} need one entry per variable ({n})")
+    for i in range(n):
+        if set(tables[i]) != set(domains[i]):
+            raise SpnError(f"{what} of variable {i} must have one entry per domain value")
+    return [(i, tables[i][x]) for i in range(n) for x in domains[i]]
 
 
 @dataclass(frozen=True)
@@ -34,20 +47,13 @@ class Fpssm:
     domains: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(self.n)):
-            raise SpnError("order must be a permutation of the variables")
-        if len(self.domains) != self.n or len(self.transitions) != self.n:
-            raise SpnError(f"domains and transitions need one entry per variable ({self.n})")
+        entries = _table_entries(self.n, self.order, self.domains, self.transitions, "transitions")
         k = self.state_size
         if not (0 <= self.initial_state < k):
             raise SpnError("initial state out of range")
-        for i in range(self.n):
-            if set(self.transitions[i]) != set(self.domains[i]):
-                raise SpnError(f"transition table of variable {i} must have one entry per domain value")
-            for value in self.domains[i]:
-                nxt = self.transitions[i][value]
-                if len(nxt) != k or any(not (0 <= s < k) for s in nxt):
-                    raise SpnError(f"transition table of variable {i} is not into 0..{k - 1}")
+        for i, nxt in entries:
+            if len(nxt) != k or any(not (0 <= s < k) for s in nxt):
+                raise SpnError(f"transition table of variable {i} is not into 0..{k - 1}")
         if len(self.decode) != k or any(h < 0 for h in self.decode):
             raise SpnError("decode must map every state to a non-negative rational")
 
@@ -65,20 +71,17 @@ class Fplm:
     domains: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(self.n)):
-            raise SpnError("order must be a permutation of the variables")
+        entries = _table_entries(self.n, self.order, self.domains, self.matrices, "matrices")
         k = self.dim
         if len(self.a) != k or len(self.b) != k:
             raise SpnError("a and b must have the model dimension")
         if any(x < 0 for x in self.a) or any(x < 0 for x in self.b):
             raise SpnError("a and b must be non-negative")
-        for i in range(self.n):
-            for value in self.domains[i]:
-                t = self.matrices[i][value]
-                if len(t) != k or any(len(row) != k for row in t):
-                    raise SpnError(f"matrix of variable {i} is not {k}x{k}")
-                if any(x < 0 for row in t for x in row):
-                    raise SpnError("matrix entries must be non-negative")
+        for i, t in entries:
+            if len(t) != k or any(len(row) != k for row in t):
+                raise SpnError(f"matrix of variable {i} is not {k}x{k}")
+            if any(x < 0 for row in t for x in row):
+                raise SpnError("matrix entries must be non-negative")
 
 
 def _lookup(domains, i, value):
@@ -166,7 +169,9 @@ def fplm_to_spn(m: Fplm) -> Circuit:
             new_working.append(b.sum(products) if products else None)
         working = new_working
     outputs = [(w, x) for w, x in zip(working, m.b) if w is not None and x]
-    return excise(b.build(b.sum(outputs) if outputs else b.constant(0)), [])
+    if not outputs:  # zero everywhere: a constant-0 root and no leaf functions
+        return Circuit(b._variables, (), [ConstantNode(0, Fraction(0))], 0)
+    return excise(b.build(b.sum(outputs)), [])
 
 
 # -- built-in machines --------------------------------------------------------

@@ -14,17 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .circuit import (
-    Circuit,
-    CircuitBuilder,
-    ConstantNode,
-    LeafNode,
-    SumNode,
-    node_children,
-)
+from .circuit import Circuit, ConstantNode, ProductNode, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank
-from .structure import excise, is_dc
+from .structure import excise, is_dc, rewrite
 
 __all__ = [
     "CommMatrix",
@@ -120,33 +113,24 @@ def perturbation_rank_bound(d_matrix, audit: bool = False) -> Fraction:
 
 
 def binarize_products(circuit: Circuit) -> Circuit:
-    """Equivalent circuit where every product node has fan-in at most two."""
-    b = CircuitBuilder(extended=circuit.extended)
-    for v in circuit.variables:
-        b.variable(v.domain)
-    for f in circuit.leaf_functions:
-        b.leaf_function(f.variable, f.table, f.name)
-    remap: dict[int, int] = {}
+    """Equivalent circuit where every product node has fan-in at most two.
 
-    def combine(children: list[int]) -> int:
+    Wider products become balanced trees; leaf-function ids are kept and
+    nodes the root does not reach are dropped (see `structure.rewrite`).
+    """
+
+    def combine(emit, children) -> int:
         if len(children) == 1:
             return children[0]
         mid = len(children) // 2
-        return b.product([combine(children[:mid]), combine(children[mid:])])
+        return emit(ProductNode, [combine(emit, children[:mid]), combine(emit, children[mid:])])
 
-    for node in circuit.nodes:
-        if isinstance(node, LeafNode):
-            remap[node.id] = b.leaf(node.leaf_function)
-        elif isinstance(node, ConstantNode):
-            remap[node.id] = b.constant(node.value)
-        elif isinstance(node, SumNode):
-            remap[node.id] = b.sum(
-                [(remap[c], w) for c, w in zip(node.children, node.weights)]
-            )
-        else:
-            kids = [remap[c] for c in node.children]
-            remap[node.id] = combine(kids) if len(kids) > 1 else b.product(kids)
-    return b.build(remap[circuit.root])
+    def rule(node, new, emit):
+        if isinstance(node, ProductNode) and len(node.children) > 1:
+            return combine(emit, [new[c] for c in node.children])
+        return node
+
+    return rewrite(circuit, rule)
 
 
 @dataclass(frozen=True)
@@ -230,9 +214,7 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
             for key, selection in _points(work, y_vars)
         }
 
-        nodes = list(work.nodes)
-        nodes[node] = ConstantNode(node, Fraction(1))
-        pinned_one = Circuit(work.variables, work.leaf_functions, nodes, work.root)
+        pinned_one = rewrite(work, lambda nd, new, emit: emit(ConstantNode, Fraction(1)) if nd.id == node else nd)
         try:
             pinned_zero = excise(work, [node])
         except ZeroCircuitError:

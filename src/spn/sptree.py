@@ -48,14 +48,9 @@ class EdgeIndexing:
     def pair_of(self, label: int) -> tuple[int, int]:
         if not (0 <= label < self.n):
             raise SpnError(f"edge label {label} out of range")
-        u = 0
-        offset = label
-        row = self.m - 1
-        while offset >= row:
-            offset -= row
-            row -= 1
-            u += 1
-        return (u, u + 1 + offset)
+        # counted from the last edge, rows m-2, m-3, ... hold 1, 2, ... edges
+        u = self.m - 2 - (math.isqrt(8 * (self.n - 1 - label) + 1) - 1) // 2
+        return (u, label - self.label_of(u, u + 1) + u + 1)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     ConstantNode,
+    LeafFunction,
     LeafNode,
     ProductNode,
     SumNode,
-    node_children,
 )
 from .errors import (
     DegenerateCircuitError,
@@ -112,86 +112,89 @@ def analyze(circuit: Circuit) -> StructureReport:
     )
 
 
-def prune_degenerate(circuit: Circuit) -> Circuit:
-    """Remove zero-weight edges, then dead nodes, preserving the output polynomial.
+def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
+    """Rebuild `circuit` in one topological pass under a per-node rule.
 
-    Drops edges with weight 0 and excises zero constants (see `excise`).
+    `replace(node, new, emit)` gives each node's new id, `new` mapping old
+    ids to new ones: the node itself is a copy with renamed children, None
+    is zero, and `emit(kind, a)` adds a node over new ids (`a` is a leaf
+    function, value, children or (child, weight) edges) and returns its
+    id.  A product with a zero child is zero; a sum drops its edges into
+    zero and is zero without edges.  Only what the new root reaches is
+    built, in emission order under dense ids.  Variables and leaf-function
+    ids (so output monomials) are kept; a rule may extend `leaf_functions`,
+    which then replaces the list.  Raises ZeroCircuitError if the root dies.
+    """
+    new, spec = [None] * len(circuit.nodes), []
+
+    def emit(kind, a, b=None):
+        if kind is SumNode:
+            edges = [(c, w) for c, w in a if c is not None]
+            if not edges:
+                return None
+            a, b = zip(*edges)
+        elif kind is ProductNode:
+            a = tuple(a)
+            if None in a:
+                return None
+        spec.append((kind, a, b))
+        return len(spec) - 1
+
+    for node in circuit.nodes:
+        i = replace(node, new, emit)
+        if i is node:
+            if isinstance(node, SumNode):
+                i = emit(SumNode, zip(map(new.__getitem__, node.children), node.weights))
+            elif isinstance(node, ProductNode):
+                i = emit(ProductNode, map(new.__getitem__, node.children))
+            else:
+                i = emit(type(node), node.leaf_function if isinstance(node, LeafNode) else node.value)
+        new[node.id] = i
+    root = new[circuit.root]
+    if root is None:
+        raise ZeroCircuitError("pruning removed the root: circuit computes the zero polynomial")
+    reached = [False] * root + [True]
+    for i in range(root, -1, -1):
+        kind, a, _ = spec[i]
+        if reached[i] and (kind is SumNode or kind is ProductNode):
+            for c in a:
+                reached[c] = True
+    ids, nodes = [0] * (root + 1), []
+    for i, (kind, a, b) in enumerate(spec[: root + 1]):
+        if reached[i]:
+            ids[i] = len(nodes)
+            if kind is SumNode or kind is ProductNode:
+                a = tuple(map(ids.__getitem__, a))
+            nodes.append(SumNode(ids[i], a, b) if kind is SumNode else kind(ids[i], a))
+    return Circuit(circuit.variables, leaf_functions or circuit.leaf_functions, nodes, ids[root], circuit.extended)
+
+
+def prune_degenerate(circuit: Circuit) -> Circuit:
+    """Remove zero-weight edges and zero constants, preserving the output polynomial.
+
+    Every node that dies with them and every node the root no longer
+    reaches is dropped; leaf-function ids are kept (see `rewrite`).
     Raises ZeroCircuitError if the root itself is eliminated.
     """
     _require_monotone(circuit)
-    zero_constants = [
-        node.id for node in circuit.nodes if isinstance(node, ConstantNode) and node.value == 0
-    ]
-    return excise(circuit, zero_constants, drop_zero_weights=True)
+
+    def rule(node, new, emit):
+        if isinstance(node, SumNode):
+            return emit(SumNode, ((new[c], w) for c, w in zip(node.children, node.weights) if w != 0))
+        return None if isinstance(node, ConstantNode) and node.value == 0 else node
+
+    return rewrite(circuit, rule)
 
 
-def excise(circuit: Circuit, doomed, drop_zero_weights: bool = False) -> Circuit:
+def excise(circuit: Circuit, doomed) -> Circuit:
     """Replace the `doomed` nodes by zero and remove every node that dies with them.
 
-    One pass in topological order kills each product with a dead child
-    and drops each sum edge into a dead child; a sum left without edges
-    dies too.  The survivors are the live nodes the root still reaches;
-    they keep their order under new dense ids, and the output is
-    unchanged at every assignment.  Raises ZeroCircuitError if the root
-    itself is eliminated.
+    The survivors the root still reaches keep their order under dense ids
+    and leaf-function ids are kept (see `rewrite`); the output is unchanged
+    at every assignment.  Raises ZeroCircuitError if the root is eliminated.
     """
-    dead = [False] * len(circuit.nodes)
-    for i in doomed:
-        dead[i] = True
-    sum_edges: dict[int, list[tuple[int, Fraction]]] = {}
-    for node in circuit.nodes:
-        if dead[node.id]:
-            continue
-        if isinstance(node, SumNode):
-            edges = [
-                (c, w)
-                for c, w in zip(node.children, node.weights)
-                if not dead[c] and (w != 0 or not drop_zero_weights)
-            ]
-            sum_edges[node.id] = edges
-            dead[node.id] = not edges
-        elif isinstance(node, ProductNode):
-            dead[node.id] = any(dead[c] for c in node.children)
-    if dead[circuit.root]:
-        raise ZeroCircuitError("pruning removed the root: circuit computes the zero polynomial")
-
-    def children_of(i: int):
-        return [c for c, _ in sum_edges[i]] if i in sum_edges else node_children(circuit.nodes[i])
-
-    reached = {circuit.root}
-    stack = [circuit.root]
-    while stack:
-        for c in children_of(stack.pop()):
-            if c not in reached:
-                reached.add(c)
-                stack.append(c)
-
-    remap: dict[int, int] = {}
-    builder_nodes = []
-    for i in sorted(reached):
-        remap[i] = len(builder_nodes)
-        node = circuit.nodes[i]
-        if isinstance(node, LeafNode):
-            builder_nodes.append(LeafNode(remap[i], node.leaf_function))
-        elif isinstance(node, ConstantNode):
-            builder_nodes.append(ConstantNode(remap[i], node.value))
-        elif isinstance(node, SumNode):
-            builder_nodes.append(
-                SumNode(
-                    remap[i],
-                    tuple(remap[c] for c, _ in sum_edges[i]),
-                    tuple(w for _, w in sum_edges[i]),
-                )
-            )
-        else:
-            builder_nodes.append(ProductNode(remap[i], tuple(remap[c] for c in node.children)))
-    return Circuit(
-        circuit.variables,
-        circuit.leaf_functions,
-        builder_nodes,
-        remap[circuit.root],
-        circuit.extended,
-    )
+    doomed = set(doomed)
+    return rewrite(circuit, lambda node, new, emit: None if node.id in doomed else node)
 
 
 def complete_transform(circuit: Circuit) -> Circuit:
@@ -201,51 +204,32 @@ def complete_transform(circuit: Circuit) -> Circuit:
     scope, the child is wrapped in a product with constant-1 leaf functions
     of the missing variables.  Evaluation at every assignment is unchanged,
     completeness holds afterwards, decomposability is preserved, and the
-    size grows by at most (number of variables) + (total sum fan-in).
+    size grows by at most (number of variables) + (total sum fan-in).  The
+    new leaf functions follow the old ones, whose ids are kept, and nodes
+    the root does not reach are dropped (see `rewrite`).
     """
     _require_monotone(circuit)
     scopes = circuit.scopes()
-    b = CircuitBuilder(extended=circuit.extended)
-    for v in circuit.variables:
-        b.variable(v.domain)
-    for f in circuit.leaf_functions:
-        b.leaf_function(f.variable, f.table, f.name)
-
-    one_fn: dict[int, int] = {}
+    fns = list(circuit.leaf_functions)
     one_node: dict[int, int] = {}
     wrap_cache: dict[tuple[int, frozenset[int]], int] = {}
-    remap: dict[int, int] = {}
 
-    def const_one_node(var: int) -> int:
-        if var not in one_node:
-            if var not in one_fn:
-                domain = circuit.variables[var].domain
-                one_fn[var] = b.leaf_function(var, {x: 1 for x in domain}, name=f"one_x{var}")
-            one_node[var] = b.leaf(one_fn[var])
-        return one_node[var]
+    def rule(node, new, emit):
+        if not isinstance(node, SumNode):
+            return node
+        edges = []
+        for c, w in zip(node.children, node.weights):
+            missing = scopes[node.id] - scopes[c]
+            if missing and (c, missing) not in wrap_cache:
+                for v in sorted(missing - one_node.keys()):
+                    table = dict.fromkeys(circuit.variables[v].domain, Fraction(1))
+                    fns.append(LeafFunction(len(fns), v, table, f"one_x{v}"))
+                    one_node[v] = emit(LeafNode, len(fns) - 1)
+                wrap_cache[c, missing] = emit(ProductNode, [new[c]] + [one_node[v] for v in sorted(missing)])
+            edges.append((wrap_cache[c, missing] if missing else new[c], w))
+        return emit(SumNode, edges)
 
-    def wrapped(child: int, missing: frozenset[int]) -> int:
-        key = (child, missing)
-        if key not in wrap_cache:
-            extras = [const_one_node(v) for v in sorted(missing)]
-            wrap_cache[key] = b.product([remap[child]] + extras)
-        return wrap_cache[key]
-
-    for node in circuit.nodes:
-        if isinstance(node, LeafNode):
-            remap[node.id] = b.leaf(node.leaf_function)
-        elif isinstance(node, ConstantNode):
-            remap[node.id] = b.constant(node.value)
-        elif isinstance(node, ProductNode):
-            remap[node.id] = b.product([remap[c] for c in node.children])
-        else:
-            own_dep = scopes[node.id]
-            pairs = []
-            for c, w in zip(node.children, node.weights):
-                missing = own_dep - scopes[c]
-                pairs.append((wrapped(c, missing) if missing else remap[c], w))
-            remap[node.id] = b.sum(pairs)
-    return b.build(remap[circuit.root])
+    return rewrite(circuit, rule, fns)
 
 
 def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: piping, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,32 @@ def test_sample_draws_are_pinned():
     drawn = run_cli(["sample", "-n", "5", "--seed", "7"], stdin=normalized)
     assert drawn.returncode == 0
     assert drawn.stdout == "1,1,1,1,1,1\n1,1,0,1,1,0\n0,0,0,0,0,0\n0,0,0,0,0,0\n0,0,1,0,0,1\n"
+
+
+@pytest.mark.parametrize(
+    "pipeline, digest",
+    [
+        (
+            [["builtin", "majority", "--n", "8"], ["normalize"]],
+            "b50e4bd379dc8f65d9b9e0fe2f5231f6bb439278dd9b71ce5daf170359f41dbc",
+        ),
+        ([["builtin", "count-ones", "--n", "6"]], "4b2b8fbfd6c2b61844134921f63875695241642b67bce63b31f3efa96035c4ef"),
+        (
+            [["builtin", "equal", "--n", "6"], ["decompose"]],
+            "0cec5e646f04ab4bb4ca0bedb30c1ad09d633e0a3fa93e43877554cc50bb842f",
+        ),
+    ],
+)
+def test_circuit_rewrites_are_pinned(pipeline, digest):
+    # exact bytes of compiled, normalized and decomposed circuits: node
+    # order and ids of every rewrite (excision, normalization, the
+    # decomposition's pinned circuits) show here
+    out = None
+    for args in pipeline:
+        proc = run_cli(args, stdin=out)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sample_counts():
@@ -273,6 +300,8 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
     assert_one_error_line(proc, "0=x")
     circuit = tmp_path / "equal.json"
     circuit.write_text(built)
+    parity_one = tmp_path / "parity1.json"
+    parity_one.write_text(run_cli(["builtin", "parity", "--n", "1"]).stdout)
     machine = {
         "n": 2,
         "state_size": 2,
@@ -306,6 +335,11 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
         (["rank", "--partition", "A=0,0", str(circuit)], None, "repeats variable 0"),
         (["marginalize", "--query", "-", str(circuit)], '{"integrate_over": [1]}', "integrate_over"),
         (["marginalize", "--query", "-", str(circuit)], '{"fixed": {"0": "x"}}', "fixed.0"),
+        (
+            ["marginalize", "--query", "-", str(parity_one)],
+            '{"integrate_over": {"0": [1, 1]}, "fixed": {}}',
+            "integration set for variable 0 repeats value 1",
+        ),
         (["compile", "fpssm", "-"], json.dumps(machine), "domains and transitions"),
         (["compile", "fpssm", "-"], json.dumps({**parity, "transitions": [1, 2]}), "transitions[0]: expected an object"),
         (["compile", "fpssm", "-"], json.dumps({**parity, "decode": "01"}), "decode: expected an array"),

@@ -12,6 +12,7 @@ from scipy.stats import chisquare
 from spn import inference
 from spn.circuit import CircuitBuilder
 from spn.errors import (
+    DomainError,
     NotDecomposableCompleteError,
     NotNormalizedError,
     SpnError,
@@ -66,6 +67,12 @@ def test_query_validation():
         marginalize(c, MarginalQuery.of({0: []}, {1: 0}))  # empty set
     with pytest.raises(SpnError):
         marginalize(c, MarginalQuery.of({0: [0, 1]}, {0: 1, 1: 0}))  # overlap
+    with pytest.raises(SpnError, match="variable 1 repeats value 1"):
+        marginalize(c, MarginalQuery.of({1: [1, 0, 1]}, {0: 1}))
+    with pytest.raises(SpnError, match="variable 1 repeats value 1"):
+        apply_integration(c, {1: [1, 1]})
+    with pytest.raises(DomainError, match="value 5 not in domain of variable 1"):
+        apply_integration(c, {1: [5]})
 
 
 def test_marginalize_requires_dc_unless_forced():

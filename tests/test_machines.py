@@ -99,6 +99,25 @@ def test_scalar_chain_computes_product():
         assert c.evaluate(dict(enumerate(x))) == expected
 
 
+def test_fplm_rejects_missing_tables():
+    cell = ((Fraction(1),),)
+    good = dict(
+        n=2,
+        order=(0, 1),
+        dim=1,
+        a=(Fraction(1),),
+        b=(Fraction(1),),
+        matrices=({Fraction(0): cell, Fraction(1): cell},) * 2,
+        domains=(BINARY, BINARY),
+    )
+    assert fplm_to_spn(Fplm(**good)).evaluate({0: 0, 1: 1}) == 1
+    with pytest.raises(SpnError, match="variable 0 must have one entry per domain value"):
+        Fplm(**{**good, "matrices": ({Fraction(0): cell},) * 2})
+    for field in ("domains", "matrices"):
+        with pytest.raises(SpnError, match="one entry per variable"):
+            Fplm(**{**good, field: good[field][:1]})
+
+
 def test_compiled_parity_is_dc_and_correct():
     n = 4
     m = parity_machine(n)

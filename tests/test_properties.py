@@ -13,8 +13,8 @@ from itertools import combinations, product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.circuit import ProductNode, SumNode
-from spn.errors import SpnError, ZeroPartitionError
+from spn.circuit import Circuit, ConstantNode, ProductNode, SumNode
+from spn.errors import SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
     MarginalQuery,
@@ -35,6 +35,7 @@ from spn.structure import (
     check_decomposable,
     complete_transform,
     degeneracy_offenders,
+    excise,
     is_dc,
 )
 
@@ -161,6 +162,26 @@ def test_binarize_products_preserves_values(seed):
         assert binary.evaluate(assignment) == c.evaluate(assignment)
 
 
+@PROFILE
+@given(seeds)
+def test_excise_matches_zero_constant_oracle(seed):
+    rng = make_rng(seed)
+    c = random_free_circuit(rng, pruned=False) if rng.random() < 0.5 else small_dc_circuit(rng)
+    doomed = {i for i in range(len(c.nodes)) if rng.random() < 0.2}
+    # oracle: the same circuit with each doomed node computing the constant zero
+    nodes = [ConstantNode(i, Fraction(0)) if i in doomed else node for i, node in enumerate(c.nodes)]
+    oracle = Circuit(c.variables, c.leaf_functions, nodes, c.root)
+    points = list(c.iter_assignments(range(len(c.variables))))
+    try:
+        cut = excise(c, doomed)
+    except ZeroCircuitError:
+        assert all(oracle.evaluate(x) == 0 for x in points)
+        return
+    assert [cut.evaluate(x) for x in points] == [oracle.evaluate(x) for x in points]
+    assert cut.reachable() == frozenset(range(len(cut.nodes)))
+    assert cut.leaf_functions == c.leaf_functions
+
+
 # -- machine compiler --------------------------------------------------------------
 
 
@@ -193,7 +214,7 @@ def test_compiled_fpssm_matches_machine(seed):
     values = [eval_fpssm(m, x) for x in iter_product(*m.domains)]
     assert [c.evaluate(x) for x in iter_product(*m.domains)] == values
     # no zero weight or constant, except the one constant-0 root of a zero machine
-    assert not degeneracy_offenders(c) if any(values) else len(c.nodes) == 1
+    assert not degeneracy_offenders(c) if any(values) else len(c.nodes) == 1 and not c.leaf_functions
 
 
 # -- sptree kernels ----------------------------------------------------------------

@@ -36,7 +36,7 @@ from genutil import (
 
 
 def test_edge_indexing_bijection():
-    for m in (2, 3, 5, 8):
+    for m in (2, 3, 5, 8, 60, 200):
         idx = EdgeIndexing(m)
         assert idx.n == m * (m - 1) // 2
         pairs = idx.pairs()
