@@ -213,9 +213,9 @@ class Circuit:
             self._scopes = out
         return self._scopes
 
-    def dependency_scope(self, node: int | None = None) -> frozenset[int]:
-        """Variable ids a node's output depends on (default: the root)."""
-        return self.scopes()[self.root if node is None else node]
+    def dependency_scope(self) -> frozenset[int]:
+        """Variable ids the root's output depends on (see `scopes` for other nodes)."""
+        return self.scopes()[self.root]
 
     def reachable(self, node: int | None = None) -> frozenset[int]:
         """Node ids in the subcircuit rooted at `node` (default: the root)."""
@@ -281,7 +281,9 @@ class Circuit:
         raise UnknownVariableError("assignment must be a mapping or a sequence")
 
     def position(self, var: int, value) -> int:
-        """Index of `value` in the domain of variable `var`; DomainError if absent."""
+        """Index of `value` in the domain of variable `var` (UnknownVariableError / DomainError otherwise)."""
+        if not 0 <= var < len(self.variables):
+            raise UnknownVariableError(f"unknown variable {var}")
         try:
             return self._eval_plan()[1][var][value][0]
         except (KeyError, TypeError):

@@ -221,8 +221,6 @@ def cmd_sample(args):
 
 
 def cmd_compile(args):
-    if args.kind != "fpssm":
-        raise SpnError(f"unknown machine kind {args.kind!r}")
     machine = fpssm_from_json_dict(json.loads(_read_text(args.machine)))
     _write_text(args.output, serialize(compile_fpssm(machine), indent=2))
     return 0

@@ -86,15 +86,14 @@ class SparsePolynomial:
         return f"SparsePolynomial({len(self.terms)} terms)"
 
 
-def expand(circuit: Circuit, node: int | None = None, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynomial:
-    """Exact output polynomial of a node (default: the root) in the leaf functions.
+def expand(circuit: Circuit, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynomial:
+    """Exact output polynomial of the root in the leaf functions.
 
     Raises TermExplosionError when the number of distinct monomials at any
     intermediate node exceeds `max_terms`.
     """
-    target = circuit.root if node is None else node
     groups = {f.id: f.variable for f in circuit.leaf_functions}
-    needed = circuit.reachable(target)
+    needed = circuit.reachable()
     polys: dict[int, dict[Monomial, Fraction]] = {}
     for nd in circuit.nodes:
         if nd.id not in needed:
@@ -136,7 +135,7 @@ def expand(circuit: Circuit, node: int | None = None, max_terms: int = DEFAULT_T
             polys[nd.id] = acc
         if len(polys[nd.id]) > max_terms:
             raise TermExplosionError(f"expansion exceeds {max_terms} monomials at node {nd.id}")
-    return SparsePolynomial(polys[target], groups)
+    return SparsePolynomial(polys[circuit.root], groups)
 
 
 def is_multilinear(p: SparsePolynomial) -> bool:

@@ -167,7 +167,10 @@ def _points(circuit: Circuit, vars_: tuple[int, ...]):
         yield tuple(d[p] for d, p in zip(domains, point)), selection
 
 
-def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
+MAX_TABLE_VARS = 14  # the most variables a g or h table of decompose ranges over
+
+
+def decompose(circuit: Circuit) -> Decomposition:
     """Split a D&C circuit into at most size^2 balanced product terms.
 
     Products are first rewritten to fan-in two.  Then, repeatedly, a node
@@ -204,10 +207,8 @@ def decompose(circuit: Circuit, max_table_vars: int = 14) -> Decomposition:
         z_vars = tuple(v for v in range(n) if v not in scopes[node])
         if 3 * len(y_vars) < n:
             raise SpnError("balanced-node walk failed; circuit is not D&C")
-        if len(y_vars) > max_table_vars or len(z_vars) > max_table_vars:
-            raise InstanceTooLargeError(
-                f"term tables over more than {max_table_vars} variables"
-            )
+        if len(y_vars) > MAX_TABLE_VARS or len(z_vars) > MAX_TABLE_VARS:
+            raise InstanceTooLargeError(f"term tables over more than {MAX_TABLE_VARS} variables")
 
         g_table = {
             key: Fraction(work.evaluate_selection(selection)[node])

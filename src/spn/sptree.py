@@ -274,42 +274,34 @@ def dichotomy_check(m, g_table, h_table, coloring, triangle) -> DichotomyResult:
     a, b, c = triangle
     if coloring[a] != coloring[b] or coloring[a] == coloring[c]:
         raise SpnError("constraint triangle must have a, b one color and c the other")
-    red_labels = tuple(sorted(l for l, col in enumerate(coloring) if col == RED))
-    blue_labels = tuple(sorted(l for l, col in enumerate(coloring) if col == BLUE))
-    pos_red = {y for y, v in g_table.items() if v > 0}
-    pos_blue = {z for z, v in h_table.items() if v > 0}
+    sides = {
+        RED: (tuple(l for l, col in enumerate(coloring) if col == RED), {y for y, v in g_table.items() if v > 0}),
+        BLUE: (tuple(l for l, col in enumerate(coloring) if col == BLUE), {z for z, v in h_table.items() if v > 0}),
+    }
+    # (labels, positive support) of the pair's colour and of the other one
+    (pair_labels, pair_pos), (single_labels, single_pos) = sides[coloring[a]], sides[coloring[c]]
 
     def side_positive(labels, table_support, wanted: tuple[int, ...]):
         idx = [labels.index(l) for l in wanted]
         return [t for t in table_support if all(t[i] for i in idx)]
 
-    if coloring[a] == RED:
-        with_pair = side_positive(red_labels, pos_red, (a, b))
-        with_single = side_positive(blue_labels, pos_blue, (c,))
-        pair_branch = not with_pair or not pos_blue
-        single_branch = not with_single or not pos_red
-        if pair_branch or single_branch:
-            return DichotomyResult(pair_branch, single_branch, None)
-        x_pair = _combine(red_labels, with_pair[0], blue_labels, sorted(pos_blue)[0], len(coloring))
-        x_single = _combine(red_labels, sorted(pos_red)[0], blue_labels, with_single[0], len(coloring))
-    else:
-        with_pair = side_positive(blue_labels, pos_blue, (a, b))
-        with_single = side_positive(red_labels, pos_red, (c,))
-        pair_branch = not with_pair or not pos_red
-        single_branch = not with_single or not pos_blue
-        if pair_branch or single_branch:
-            return DichotomyResult(pair_branch, single_branch, None)
-        x_pair = _combine(red_labels, sorted(pos_red)[0], blue_labels, with_pair[0], len(coloring))
-        x_single = _combine(red_labels, with_single[0], blue_labels, sorted(pos_blue)[0], len(coloring))
+    with_pair = side_positive(pair_labels, pair_pos, (a, b))
+    with_single = side_positive(single_labels, single_pos, (c,))
+    pair_branch = not with_pair or not single_pos
+    single_branch = not with_single or not pair_pos
+    if pair_branch or single_branch:
+        return DichotomyResult(pair_branch, single_branch, None)
+    x_pair = _combine(len(coloring), (pair_labels, with_pair[0]), (single_labels, sorted(single_pos)[0]))
+    x_single = _combine(len(coloring), (pair_labels, sorted(pair_pos)[0]), (single_labels, with_single[0]))
     return DichotomyResult(False, False, (x_pair, x_single))
 
 
-def _combine(red_labels, red_vals, blue_labels, blue_vals, n):
+def _combine(n, *sides):
+    """Edge vector of length n from (labels, values) sides with disjoint labels."""
     x = [0] * n
-    for l, v in zip(red_labels, red_vals):
-        x[l] = int(v)
-    for l, v in zip(blue_labels, blue_vals):
-        x[l] = int(v)
+    for labels, vals in sides:
+        for l, v in zip(labels, vals):
+            x[l] = int(v)
     return tuple(x)
 
 

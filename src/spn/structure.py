@@ -259,56 +259,41 @@ def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:
 # -- brute-force validity oracle --------------------------------------------
 
 
-def _nonempty_subsets(domain):
-    items = list(domain)
-    return [
-        combo
-        for r in range(1, len(items) + 1)
-        for combo in combinations(items, r)
-    ]
+ORACLE_MAX_VARS, ORACLE_MAX_DOMAIN = 4, 3
 
 
-def brute_force_validity(circuit: Circuit, max_vars: int = 4, max_domain: int = 3) -> bool:
+def brute_force_validity(circuit: Circuit) -> bool:
     """Check the marginal-substitution identity exhaustively.
 
-    Enumerates every subset I of the root's dependency-scope, every choice
-    of non-empty value subsets S_i, and every assignment to the remaining
-    variables, comparing the explicit sum of evaluations over the S grid
-    against one substituted evaluation where each integrated leaf computes
-    its partial table sum.  The circuit is evaluated once per grid point
-    and the sums are read from that table.  Extended circuits are allowed.
-    Variables the output does not depend on are excluded from I
-    (integrating over them has no circuit-side counterpart).
+    A selection picks one non-empty set of domain positions per variable
+    of the root's dependency-scope (position 0 for the others).  The
+    identity says its substituted evaluation, where each leaf sums its
+    table over its variable's set, equals the sum of the circuit over the
+    points the selection covers.  Each selection is evaluated once: the
+    all-single-value ones (the grid) are the points themselves, and each
+    other one is compared with the sum of the grid values it covers.
+    Every (I, S, fixed) check of the definition is one of these
+    selections.  Extended circuits are allowed.
     """
     dep = sorted(circuit.dependency_scope())
     sizes = [len(circuit.variables[v].domain) for v in dep]
-    if len(dep) > max_vars or any(k > max_domain for k in sizes):
+    if len(dep) > ORACLE_MAX_VARS or any(k > ORACLE_MAX_DOMAIN for k in sizes):
         raise InstanceTooLargeError(
-            f"oracle bound exceeded: n <= {max_vars}, |domain| <= {max_domain}"
+            f"oracle bound exceeded: n <= {ORACLE_MAX_VARS}, |domain| <= {ORACLE_MAX_DOMAIN}"
         )
-    root = circuit.root
-    # Selections index variables by id; grid points are position tuples in dep order.
+    # Singletons come first in each list, so product order reaches every
+    # grid point before any selection that covers it.
+    subsets = [[s for r in range(1, k + 1) for s in combinations(range(k), r)] for k in sizes]
     selection = [(0,)] * len(circuit.variables)
     grid = {}
-    for point in iter_product(*(range(k) for k in sizes)):
-        for v, p in zip(dep, point):
-            selection[v] = (p,)
-        grid[point] = circuit.evaluate_selection(selection)[root]
-
-    subset_choices = [_nonempty_subsets(range(k)) for k in sizes]
-    singletons = [[(p,) for p in range(k)] for k in sizes]
-    for r in range(1, len(dep) + 1):
-        for I in combinations(range(len(dep)), r):
-            # per dep position: the integration sets if integrated, else the fixed values
-            options = [subset_choices[j] if j in I else singletons[j] for j in range(len(dep))]
-            for choice in iter_product(*options):
-                lhs = 0
-                for point in iter_product(*choice):
-                    lhs += grid[point]
-                for v, positions in zip(dep, choice):
-                    selection[v] = positions
-                if lhs != circuit.evaluate_selection(selection)[root]:
-                    return False
+    for choice in iter_product(*subsets):
+        for v, positions in zip(dep, choice):
+            selection[v] = positions
+        value = circuit.evaluate_selection(selection)[circuit.root]
+        if all(len(s) == 1 for s in choice):
+            grid[tuple(s[0] for s in choice)] = value
+        elif value != sum(grid[point] for point in iter_product(*choice)):
+            return False
     return True
 
 

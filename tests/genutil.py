@@ -21,6 +21,7 @@ from spn.circuit import (
     SumNode,
     node_children,
 )
+from spn.inference import apply_integration
 from spn.polynomial import expand
 from spn.structure import prune_degenerate
 
@@ -153,6 +154,28 @@ def exhaustive_marginal(circuit: Circuit, integrate_over: dict, fixed: dict):
         point.update(zip(variables, combo))
         total += circuit.evaluate(point)
     return total
+
+
+def reference_validity(circuit: Circuit) -> bool:
+    """The validity identity by its definition: for every non-empty subset I of
+    the dependency-scope, every choice of non-empty value sets S_i (i in I) and
+    every assignment to the other variables, the exhaustive sum over the S grid
+    equals the circuit with each integrated leaf table replaced by its partial sum."""
+    dep = sorted(circuit.dependency_scope())
+    domains = {v: circuit.variables[v].domain for v in dep}
+    subsets = {v: [s for r in range(1, len(d) + 1) for s in combinations(d, r)] for v, d in domains.items()}
+    for r in range(1, len(dep) + 1):
+        for integrated in combinations(dep, r):
+            rest = [v for v in dep if v not in integrated]
+            for chosen in iter_product(*(subsets[v] for v in integrated)):
+                sets = dict(zip(integrated, chosen))
+                substituted = apply_integration(circuit, sets)
+                for values in iter_product(*(domains[v] for v in rest)):
+                    fixed = dict(zip(rest, values))
+                    point = {**fixed, **{v: domains[v][0] for v in integrated}}
+                    if exhaustive_marginal(circuit, sets, fixed) != substituted.evaluate(point):
+                        return False
+    return True
 
 
 def evaluate_via_expansion(circuit: Circuit, assignment: dict) -> Fraction:

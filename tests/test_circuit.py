@@ -62,6 +62,17 @@ def test_evaluate_rejects_bad_assignments():
         c.evaluate({0: "1", 1: 1})
 
 
+def test_position_rejects_unknown_variables():
+    eq = build_equal(2)
+    assert eq.position(1, 1) == 1
+    with pytest.raises(UnknownVariableError, match="unknown variable -1"):
+        eq.position(-1, 1)
+    with pytest.raises(UnknownVariableError, match="unknown variable 9"):
+        eq.position(9, 0)
+    with pytest.raises(DomainError):
+        eq.position(0, 2)
+
+
 def test_evaluate_result_types():
     c = product_of_two_leaves()
     assert type(c.evaluate({0: 1, 1: 1})) is int

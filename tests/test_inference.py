@@ -16,6 +16,7 @@ from spn.errors import (
     NotDecomposableCompleteError,
     NotNormalizedError,
     SpnError,
+    UnknownVariableError,
     ZeroPartitionError,
 )
 from spn.inference import (
@@ -73,6 +74,8 @@ def test_query_validation():
         apply_integration(c, {1: [1, 1]})
     with pytest.raises(DomainError, match="value 5 not in domain of variable 1"):
         apply_integration(c, {1: [5]})
+    with pytest.raises(UnknownVariableError, match="unknown variable 9"):
+        apply_integration(c, {9: [0]})
 
 
 def test_marginalize_requires_dc_unless_forced():

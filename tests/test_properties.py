@@ -46,8 +46,10 @@ from genutil import (
     exhaustive_marginal,
     random_dc_circuit,
     random_free_circuit,
+    randomize_tables,
     reference_det,
     reference_sample,
+    reference_validity,
 )
 
 PROFILE = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -124,6 +126,18 @@ def test_sample_matches_fraction_reference(seed):
 @given(seeds)
 def test_validity_oracle_accepts_dc_circuits(seed):
     assert brute_force_validity(small_dc_circuit(make_rng(seed)))
+
+
+@settings(PROFILE, max_examples=60)
+@given(seeds)
+def test_validity_oracle_matches_reference(seed):
+    # free circuits with zero table entries are sometimes valid without being D&C
+    rng = make_rng(seed)
+    if rng.random() < 0.5:
+        c = randomize_tables(random_free_circuit(rng, max_vars=3, max_size=10), rng, lo=0)
+    else:
+        c = small_dc_circuit(rng)
+    assert brute_force_validity(c) == reference_validity(c)
 
 
 @settings(PROFILE, max_examples=100)

@@ -255,6 +255,10 @@ def test_dichotomy_adversarial_tables_yield_counterexample():
     x_pair, x_single = result.counterexample
     assert x_pair[0] == 1 and x_pair[1] == 1
     assert x_single[3] == 1
+    # the same pair of triangle edges blue: the mirrored branch
+    result = dichotomy_check(m, g, h, ["b", "b", "b", "r", "r", "r"], (0, 1, 3))
+    assert not result.holds_pair_branch and not result.holds_single_branch
+    assert result.counterexample == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1))
 
 
 def test_dichotomy_requires_dichromatic_triangle():

@@ -4,7 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from spn.circuit import CircuitBuilder
+from spn.circuit import Circuit, CircuitBuilder, LeafNode, ProductNode, SumNode
 from spn.errors import (
     DegenerateCircuitError,
     ExtendedCircuitError,
@@ -174,6 +174,38 @@ def test_complete_transform_fixed_point():
     assert complete_transform(eq).structurally_equal(eq)
 
 
+def test_complete_transform_node_order_is_pinned():
+    # the leaf over x0 misses x1 and x2: their constant-one leaves follow the
+    # old leaf functions in variable order, and the wrapped child follows them
+    b = CircuitBuilder()
+    x0, x1, x2 = b.variable([0, 1]), b.variable([0, 1]), b.variable([0, 1])
+    f0 = b.leaf_function(x0, {0: 1, 1: 2})
+    f1 = b.leaf_function(x1, {0: 3, 1: 1})
+    f2 = b.leaf_function(x2, {0: 1, 1: 1})
+    single = b.leaf(f0)
+    whole = b.product([b.leaf(f0), b.leaf(f1), b.leaf(f2)])
+    fixed = complete_transform(b.build(b.sum([(single, 2), (whole, 1)])))
+    assert list(fixed.nodes) == [
+        LeafNode(0, 0),
+        LeafNode(1, 0),
+        LeafNode(2, 1),
+        LeafNode(3, 2),
+        ProductNode(4, (1, 2, 3)),
+        LeafNode(5, 3),
+        LeafNode(6, 4),
+        ProductNode(7, (0, 5, 6)),
+        SumNode(8, (7, 4), (2, 1)),
+    ]
+    assert fixed.root == 8
+    assert [(f.id, f.variable, f.name) for f in fixed.leaf_functions] == [
+        (0, 0, None),
+        (1, 1, None),
+        (2, 2, None),
+        (3, 1, "one_x1"),
+        (4, 2, "one_x2"),
+    ]
+
+
 def test_complete_transform_on_random_circuits():
     rng = make_rng(33)
     for _ in range(40):
@@ -237,6 +269,17 @@ def test_oracle_on_incomplete_fixture():
     # second function is the identity
     assert brute_force_validity(incomplete_valid_fixture())
     assert not brute_force_validity(incomplete_valid_fixture(identity_second=True))
+
+
+def test_oracle_evaluates_each_selection_once(monkeypatch):
+    selections = []
+    evaluate = Circuit.evaluate_selection
+    monkeypatch.setattr(
+        Circuit, "evaluate_selection", lambda self, s: selections.append(tuple(s)) or evaluate(self, s)
+    )
+    assert brute_force_validity(build_equal(4))
+    # three non-empty position sets for each of the four binary variables
+    assert len(selections) == len(set(selections)) == 81
 
 
 def test_oracle_rejects_large_instances():
