@@ -48,7 +48,7 @@ from .sptree import (
     constraint_fraction_experiment,
     count_consistent_trees,
     count_dichromatic_triangles,
-    sample_tree,
+    iter_trees,
 )
 from .structure import (
     analyze,
@@ -300,12 +300,13 @@ def cmd_sptree_count(args):
 
 
 def cmd_sptree_sample(args):
-    rng = make_rng(args.seed)
-    idx = EdgeIndexing(args.m)
+    zeros = ["0"] * EdgeIndexing(args.m).n
     lines = []
-    for _ in range(args.count):
-        tree = sample_tree(args.m, rng)
-        lines.append(",".join("1" if l in tree.edges else "0" for l in range(idx.n)) + "\n")
+    for tree in iter_trees(args.m, args.count, make_rng(args.seed)):
+        row = zeros.copy()
+        for label in tree.edges:
+            row[label] = "1"
+        lines.append(",".join(row) + "\n")
     _write_text(args.output, "".join(lines))
     return 0
 

@@ -15,13 +15,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Integral
 
 from .errors import InstanceTooLargeError, SpnError
 from .linalg import det_symmetric
-from .rng import make_rng
+from .rng import block_integers, make_rng
 
 RED = "r"
 BLUE = "b"
+_BATCH = 1 << 12  # trees iter_trees holds at once
 
 
 @dataclass(frozen=True)
@@ -154,27 +156,56 @@ def marginal(m: int, partial: PartialAssignment, normalized: bool = False):
     return count
 
 
-def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
-    """Uniform spanning tree of K_m by the re-sampling first-entry walk.
+def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
+    """`count` uniform spanning trees of K_m by the re-sampling first-entry walk.
 
     Each step draws the next vertex uniformly from all m vertices (the
     current vertex may repeat); the edge to a first-visited vertex joins
-    the tree; the walk stops once every vertex has been visited.
+    the tree; a walk stops once every vertex has been visited, and the
+    next tree's walk starts at the next draw.  The draws come in blocks,
+    yet the trees and the state `rng` is left in are those of one scalar
+    `rng.integers(m)` call per step.
     """
     if m < 2:
         raise SpnError("need at least two vertices")
-    rng = rng_or_seed if hasattr(rng_or_seed, "integers") else make_rng(rng_or_seed)
+    if count < 0:
+        raise SpnError("sample count must be non-negative")
     idx = EdgeIndexing(m)
-    current = int(rng.integers(m))
-    visited = {current}
-    edges = set()
-    while len(visited) < m:
-        nxt = int(rng.integers(m))
-        if nxt not in visited:
-            visited.add(nxt)
-            edges.add(idx.label_of(current, nxt))
-        current = nxt
-    return EdgeLabeledGraph(m, frozenset(edges))
+    # a walk takes 1 + m H_{m-1} < m (ln m + 1) draws on average; the cap bounds a block's memory
+    block = min(int(count * m * (math.log(m) + 1)) + 64, 1 << 16)
+    trees = []
+    with block_integers(rng, m, block) as draws:
+        for _ in range(count):
+            current = next(draws)
+            visited = {current}
+            edges = []
+            for nxt in draws:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    edges.append(idx.label_of(current, nxt))
+                    if len(visited) == m:
+                        break
+                current = nxt
+            trees.append(EdgeLabeledGraph(m, frozenset(edges)))
+    return trees
+
+
+def iter_trees(m: int, count: int, rng):
+    """The trees of `sample_trees(m, count, rng)`, drawn in batches.
+
+    `sample_trees` leaves `rng` where scalar draws would, so batches give
+    the trees of one call while the memory held is bounded by the batch.
+    """
+    if count < 0:
+        raise SpnError("sample count must be non-negative")
+    batches = (sample_trees(m, min(_BATCH, count - start), rng) for start in range(0, count, _BATCH))
+    return (tree for batch in batches for tree in batch)
+
+
+def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
+    """One uniform spanning tree of K_m (see `sample_trees`)."""
+    rng = rng_or_seed if hasattr(rng_or_seed, "integers") else make_rng(rng_or_seed)
+    return sample_trees(m, 1, rng)[0]
 
 
 # -- colorings and triangles ---------------------------------------------------
@@ -335,17 +366,38 @@ def derive_constraints(m: int, coloring, strategy: str = "pair") -> list[tuple]:
     return out
 
 
-def obeys_constraints(edges: frozenset[int], constraints) -> bool:
+_ARITY = {"not_both": 2, "not_edge": 1}
+
+
+def _constraint_index(constraints, n=math.inf) -> dict[int, list]:
+    """Constraints by their first edge label, each form and label checked once.
+
+    A tree breaks a constraint filed under one of its edges when the
+    entry is None ("not_edge") or the tree also holds the entry's label
+    ("not_both").
+    """
+    index: dict[int, list] = {}
     for con in constraints:
-        if con[0] == "not_both":
-            if con[1] in edges and con[2] in edges:
-                return False
-        elif con[0] == "not_edge":
-            if con[1] in edges:
-                return False
-        else:
-            raise SpnError(f"unknown constraint form {con[0]!r}")
-    return True
+        form, *labels = con
+        if not isinstance(form, str) or form not in _ARITY:
+            raise SpnError(f"unknown constraint form {form!r}")
+        if len(labels) != _ARITY[form]:
+            raise SpnError(f"constraint {tuple(con)!r} needs {_ARITY[form]} edge label(s)")
+        for label in labels:
+            if not (isinstance(label, Integral) and 0 <= label < n):
+                raise SpnError(f"edge label {label!r} out of range")
+        index.setdefault(labels[0], []).append(labels[1] if form == "not_both" else None)
+    return index
+
+
+def _obeys(edges: frozenset[int], index: dict[int, list]) -> bool:
+    return not any(
+        other is None or other in edges for label in edges for other in index.get(label, ())
+    )
+
+
+def obeys_constraints(edges: frozenset[int], constraints) -> bool:
+    return _obeys(edges, _constraint_index(constraints))
 
 
 def constraint_fraction_experiment(
@@ -368,12 +420,8 @@ def constraint_fraction_experiment(
         if coloring is None:
             raise SpnError("need a coloring or an explicit constraint list")
         constraints = derive_constraints(m, coloring, strategy)
-    rng = make_rng(seed)
-    obeyed = 0
-    for _ in range(samples):
-        tree = sample_tree(m, rng)
-        if obeys_constraints(tree.edges, constraints):
-            obeyed += 1
+    index = _constraint_index(constraints, EdgeIndexing(m).n)
+    obeyed = sum(_obeys(tree.edges, index) for tree in iter_trees(m, samples, make_rng(seed)))
     c = len(constraints)
     bound = (1 - c / m**3) ** (c / (6 * m**2)) if c else 1.0
     return {

@@ -290,6 +290,22 @@ def all_spanning_trees(m: int) -> list[frozenset[int]]:
     return trees
 
 
+def reference_walk(m: int, rng) -> frozenset[int]:
+    """One re-sampling walk tree of K_m, one scalar `rng.integers(m)` call per step."""
+    from spn.sptree import EdgeIndexing
+
+    idx = EdgeIndexing(m)
+    current = int(rng.integers(m))
+    visited, edges = {current}, set()
+    while len(visited) < m:
+        nxt = int(rng.integers(m))
+        if nxt not in visited:
+            visited.add(nxt)
+            edges.add(idx.label_of(current, nxt))
+        current = nxt
+    return frozenset(edges)
+
+
 def brute_count_consistent(m: int, values: dict[int, int]) -> int:
     count = 0
     for tree in all_spanning_trees(m):

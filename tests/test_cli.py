@@ -230,6 +230,33 @@ def test_sptree_sample_csv():
         assert len(bits) == 6 and sum(bits) == 3
 
 
+def test_sptree_sample_bytes_are_pinned():
+    # seeded trees of the re-sampling walk, recorded before its draws came in blocks
+    proc = run_cli(["sptree", "sample", "--m", "20", "-n", "50", "--seed", "7"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "a08e5d62029d969fba27c061748c008fd6c20e2dd5cdfadc812e697360b6ad64"
+    )
+
+
+def test_sptree_fraction_experiment_report_is_pinned(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps(["r" if label % 3 else "b" for label in range(66)]))
+    proc = run_cli(["sptree", "fraction-experiment", "--m", "12", "--seed", "3", "--coloring", str(coloring)])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    del report["config"], report["version"]
+    assert report == {
+        "analytic_bound": 0.9864028902293939,
+        "command": "sptree-fraction-experiment",
+        "constraint_count": 140,
+        "empirical_fraction": 0.0595,
+        "m": 12,
+        "samples": 10000,
+        "seed": 3,
+    }
+
+
 def test_sptree_triangles_subcommand(tmp_path):
     coloring = tmp_path / "c.json"
     coloring.write_text(json.dumps(["r", "r", "b", "b", "r", "b"]))

@@ -13,7 +13,7 @@ from itertools import combinations, product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.circuit import Circuit, ConstantNode, ProductNode, SumNode
+from spn.circuit import Circuit, ConstantNode, ProductNode, SumNode, deserialize, serialize
 from spn.errors import SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
@@ -138,6 +138,19 @@ def test_validity_oracle_matches_reference(seed):
     else:
         c = small_dc_circuit(rng)
     assert brute_force_validity(c) == reference_validity(c)
+
+
+@PROFILE
+@given(seeds)
+def test_serialize_round_trip(seed):
+    rng = make_rng(seed)
+    if rng.random() < 0.5:
+        c = random_free_circuit(rng, pruned=False, zero_weights=True)
+    else:
+        c = small_dc_circuit(rng)
+    text = serialize(c)
+    assert deserialize(text).structurally_equal(c)
+    assert serialize(c) == text == serialize(deserialize(text))
 
 
 @settings(PROFILE, max_examples=100)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chisquare
 
+from spn import sptree
 from spn.errors import SpnError
 from spn.rng import make_rng
 from spn.sptree import (
@@ -20,10 +21,12 @@ from spn.sptree import (
     derive_constraints,
     dichotomy_check,
     fisher_bound,
+    iter_trees,
     iter_triangles,
     marginal,
     obeys_constraints,
     sample_tree,
+    sample_trees,
     triangles_within_fisher,
 )
 
@@ -31,6 +34,7 @@ from genutil import (
     all_spanning_trees,
     brute_count_consistent,
     brute_triangle_count,
+    reference_walk,
     tree_mixture_circuit,
 )
 
@@ -131,6 +135,30 @@ def test_sampled_trees_are_spanning_trees():
 
 def test_sampler_determinism():
     assert sample_tree(5, 99).edges == sample_tree(5, 99).edges
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 20, 60])
+@pytest.mark.parametrize("count", [1, 4, 7, 50])
+def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count, monkeypatch):
+    # the walk takes a data-dependent number of draws; an odd number
+    # leaves half of a 64-bit Philox word buffered
+    monkeypatch.setattr(sptree, "_BATCH", 3)
+    reference = make_rng(m * 100 + count)
+    expected = [reference_walk(m, reference) for _ in range(count)]
+    after = (reference.integers(1 << 40), reference.random(), reference.integers(m))
+    one_call, single, batched = (make_rng(m * 100 + count) for _ in range(3))
+    assert [t.edges for t in sample_trees(m, count, one_call)] == expected
+    assert [sample_tree(m, single).edges for _ in range(count)] == expected
+    assert [t.edges for t in iter_trees(m, count, batched)] == expected
+    for rng in (one_call, single, batched):
+        assert (rng.integers(1 << 40), rng.random(), rng.integers(m)) == after
+
+
+def test_sample_trees_counts():
+    for draw in (sample_trees, iter_trees):
+        assert list(draw(5, 0, make_rng(1))) == []
+        with pytest.raises(SpnError, match="non-negative"):
+            draw(5, -1, make_rng(1))
 
 
 def test_sampler_uniformity_m4():
@@ -304,6 +332,37 @@ def test_fraction_experiment_single_edge_constraint():
     )
     # exactly half the 16 trees avoid any fixed edge
     assert abs(report["empirical_fraction"] - 0.5) < 0.02
+
+
+@pytest.mark.parametrize(
+    "samples, constraints, message",
+    [
+        (-1, [], "non-negative"),
+        (0, [("bogus", 1)], "unknown constraint form"),
+        # every tree of K_2 holds edge 0, so the first constraint fails it
+        (10, [("not_edge", 0), ("bogus", 1)], "unknown constraint form"),
+        (10, [("not_both", 0)], "needs 2 edge label"),
+        (10, [("not_edge", 1)], "edge label 1 out of range"),
+        (10, [("not_both", 0, "0")], "edge label '0' out of range"),
+    ],
+)
+def test_fraction_experiment_checks_its_inputs_before_drawing(samples, constraints, message):
+    with pytest.raises(SpnError, match=message):
+        constraint_fraction_experiment(2, samples, 3, constraints=constraints)
+
+
+def test_obeys_constraints_matches_a_scan_of_every_constraint():
+    m = 7
+    rng = make_rng(5)
+    n = EdgeIndexing(m).n
+    for _ in range(200):
+        constraints = []
+        for _ in range(int(rng.integers(0, 12))):
+            form = "not_edge" if rng.random() < 0.2 else "not_both"
+            constraints.append((form, *(int(l) for l in rng.integers(n, size=1 if form == "not_edge" else 2))))
+        edges = sample_tree(m, rng).edges
+        scan = not any(all(l in edges for l in con[1:]) for con in constraints)
+        assert obeys_constraints(edges, constraints) is scan
 
 
 def test_fraction_experiment_with_coloring():
