@@ -14,8 +14,11 @@ threads for evaluation and analysis.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -23,12 +26,14 @@ from .errors import (
     CircuitStructureError,
     CycleError,
     DomainError,
+    InstanceTooLargeError,
     MonotonicityError,
     SerializationError,
     UnknownVariableError,
 )
 
 Rational = Union[int, Fraction]
+MAX_TABLE_CELLS = 1 << 24  # the most grid points `Circuit.tabulate` fills: what comm_matrix can ask for
 
 
 def as_fraction(value) -> Fraction:
@@ -317,22 +322,28 @@ class Circuit:
         """One bottom-up pass computing the circuit output at a full assignment."""
         return self.evaluate_selection(self.select(assignment))[self.root]
 
-    def evaluate_selection(self, selection) -> list:
+    def evaluate_selection(self, selection, grid=None) -> list:
         """Bottom-up evaluation where a leaf over variable v sums its table at
         the domain positions `selection[v]`.
 
         A point selects one position per variable; a marginal query selects
-        its integration set, so the leaf contributes a partial sum.  This is
-        the one evaluation loop of the package.  Returns the full per-node
-        value list.
+        its integration set, so the leaf contributes a partial sum.  With
+        `grid`, a map variable -> domain positions, a leaf over a grid
+        variable instead yields a `NodeTable` of its values at those
+        positions, which the sum and product steps combine by broadcasting
+        (see `tabulate`).  This is the one evaluation loop of the package.
+        Returns the full per-node value list.
         """
         steps = self._eval_plan()[0]
         values = [0] * len(steps)
         for i, (kind, a, b) in enumerate(steps):
             if kind == "leaf":
-                acc = 0
-                for p in selection[a]:
-                    acc += b[p]
+                if grid is not None and a in grid:
+                    acc = NodeTable((a,), (len(grid[a]),), [b[p] for p in grid[a]])
+                else:
+                    acc = 0
+                    for p in selection[a]:
+                        acc += b[p]
                 values[i] = acc
             elif kind == "const":
                 values[i] = a
@@ -347,6 +358,29 @@ class Circuit:
                     acc *= values[c]
                 values[i] = acc
         return values
+
+    def tabulate(self, grid: Mapping[int, Sequence[int]], node: int | None = None) -> list:
+        """Values of `node` (default: the root) at every point of a grid.
+
+        `grid` maps variables to the domain positions each ranges over;
+        other variables sit at domain position 0.  The result is flat in
+        row-major order over the grid variables in ascending id order, the
+        last fastest.  One `evaluate_selection` pass tabulates each node
+        once over the grid variables it depends on; every cell has the
+        value and type of a point pass.  InstanceTooLargeError beyond
+        MAX_TABLE_CELLS points.
+        """
+        vars_ = tuple(sorted(grid))
+        sizes = tuple(len(grid[v]) for v in vars_)
+        cells = math.prod(sizes)
+        if cells > MAX_TABLE_CELLS:
+            raise InstanceTooLargeError(f"tabulation over {cells} points exceeds {MAX_TABLE_CELLS}")
+        value = self.evaluate_selection([(0,)] * len(self.variables), grid)[self.root if node is None else node]
+        if value.__class__ is not NodeTable:
+            return [value] * cells
+        if value.vars == vars_:
+            return value.values
+        return [value.values[i] for i in _spread_index(value.vars, value.sizes, vars_, sizes)]
 
     # -- misc ------------------------------------------------------------
 
@@ -379,6 +413,79 @@ class Circuit:
             f"Circuit(n={len(self.variables)}, size={m.size}, depth={m.depth}, "
             f"root={self.root}, extended={self.extended})"
         )
+
+
+class NodeTable:
+    """A node's exact values over a grid of the variables it depends on.
+
+    `vars` ascending, `sizes` the grid length along each, `values` flat in
+    row-major order (the last variable fastest).  Tables combine with
+    tables and scalars under + and * by broadcasting over the union of
+    their variables, cell by cell with the operands of a point pass, so
+    each cell keeps the point pass's int or Fraction type.  With no
+    in-place operators, `acc += t` and `acc *= t` build new tables.
+    """
+
+    __slots__ = ("vars", "sizes", "values")
+
+    def __init__(self, vars_: tuple[int, ...], sizes: tuple[int, ...], values: list):
+        self.vars, self.sizes, self.values = vars_, sizes, values
+
+    def _combine(self, other, op) -> "NodeTable":
+        a = self.values
+        if other.__class__ is not NodeTable:
+            return NodeTable(self.vars, self.sizes, [op(x, other) for x in a])
+        if other.vars == self.vars:
+            return NodeTable(self.vars, self.sizes, list(map(op, a, other.values)))
+        align = _cached_alignment if len(a) * len(other.values) <= _CACHED_CELLS else _alignment
+        vars_, sizes, ia, ib = align(self.vars, self.sizes, other.vars, other.sizes)
+        return NodeTable(vars_, sizes, list(map(op, map(a.__getitem__, ia), map(other.values.__getitem__, ib))))
+
+    def __add__(self, other):
+        if other.__class__ is int and other == 0:
+            return self  # 0 + x is x, type included
+        return self._combine(other, operator.add)
+
+    def __mul__(self, other):
+        if other.__class__ is int and other == 1:
+            return self  # 1 * x is x, type included
+        return self._combine(other, operator.mul)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _spread_index(vars_, sizes, out_vars, out_sizes) -> list[int]:
+    """Per point of the grid (out_vars, out_sizes), the index of its
+    projection onto the grid (vars_, sizes), whose variables it holds."""
+    strides, step = {}, 1
+    for v, d in zip(reversed(vars_), reversed(sizes)):
+        strides[v] = step
+        step *= d
+    index = [0]
+    for v, d in zip(out_vars, out_sizes):
+        s = strides.get(v, 0)
+        offsets = range(0, d * s, s) if s else (0,) * d
+        index = [i + o for i in index for o in offsets]
+    return index
+
+
+def _alignment(vars_a, sizes_a, vars_b, sizes_b):
+    """The union grid of two tables' grids, and each table's `_spread_index` onto it."""
+    grid = dict(zip(vars_a, sizes_a))
+    grid.update(zip(vars_b, sizes_b))
+    vars_ = tuple(sorted(grid))
+    sizes = tuple(grid[v] for v in vars_)
+    index_a = tuple(_spread_index(vars_a, sizes_a, vars_, sizes))
+    index_b = tuple(_spread_index(vars_b, sizes_b, vars_, sizes))
+    return vars_, sizes, index_a, index_b
+
+
+# Small grids recur across the nodes of a circuit and across circuits, so
+# their alignments are kept (at most 256, of at most 1,024 cells each);
+# large ones are rebuilt rather than held.
+_CACHED_CELLS = 1 << 10
+_cached_alignment = lru_cache(maxsize=256)(_alignment)
 
 
 class CircuitBuilder:

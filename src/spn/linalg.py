@@ -9,7 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SpnError
 
@@ -41,25 +41,39 @@ def det_symmetric(matrix: list[list[int]]) -> int:
     return a[-1][-1] if k else 1
 
 
-def _integer_rows(matrix) -> list[list[int]]:
-    rows = []
-    for row in matrix:
-        fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        denom = 1
-        for x in fracs:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        rows.append([int(x.numerator * (denom // x.denominator)) for x in fracs])
-    return rows
+def scaled_row(row) -> tuple[list[int], int]:
+    """(integers, q) with row == integers / q, q the lcm of the entries' denominators.
+
+    Entries may be ints, Fractions, 'p/q' strings or floats (converted
+    exactly); plain ints are used as they are.
+    """
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    q = lcm(*(x.denominator for x in row))
+    return [x.numerator * (q // x.denominator) for x in row], q
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals via integer row echelon with gcd reduction.
+    """Rank over the rationals of a matrix with equal-length rows.
 
-    Rows are scaled to integers (rank-preserving); the pivot in each column
-    is the candidate with the largest absolute value, ties broken by the
-    smallest row index, for deterministic elimination order.
+    Each row is scaled to integers (rank-preserving), then `integer_rank`
+    eliminates.  SpnError names the first row whose length differs from
+    row 0's.
     """
-    rows = [row for row in _integer_rows(matrix) if any(row)]
+    rows = [scaled_row(row)[0] for row in matrix]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise SpnError(f"ragged matrix: row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+    return integer_rank(rows)
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of equal-length integer rows via row echelon with gcd reduction (rows are overwritten).
+
+    The pivot in each column is the candidate with the largest absolute
+    value, ties broken by the smallest row index, for deterministic
+    elimination order.
+    """
+    rows = [row for row in rows if any(row)]
     if not rows:
         return 0
     n_cols = len(rows[0])

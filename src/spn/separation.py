@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 from .circuit import Circuit, ConstantNode, ProductNode, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
-from .linalg import exact_rank
+from .linalg import exact_rank, integer_rank, scaled_row
 from .structure import excise, is_dc, rewrite
 
 __all__ = [
@@ -57,6 +57,9 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
                 raise SpnError(f"partition block repeats variable {v}")
     if set(block_a) & set(block_b):
         raise SpnError("partition blocks overlap")
+    for v in block_a + block_b:
+        if not 0 <= v < n:
+            raise SpnError(f"partition variable {v} is not among the variables 0..{n - 1}")
     if set(block_a) | set(block_b) != set(range(n)):
         raise SpnError("partition must cover all variables")
     if len(block_a) > max_block or len(block_b) > max_block:
@@ -76,9 +79,33 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
 
 
 def circuit_evaluator(circuit: Circuit):
-    """Adapt a binary-domain circuit to the tuple-of-bits interface of comm_matrix."""
+    """Adapt a circuit to the tuple-of-bits interface of comm_matrix.
+
+    The first call tabulates the circuit once over the bits 0 and 1 of
+    each variable it depends on (`Circuit.tabulate`), so that comm_matrix
+    checks its partition before any work; each call then reads its point
+    from the table.  A point off the table (a bit outside a domain, a
+    tuple of the wrong length) goes through `Circuit.evaluate`, which
+    gives its value or its error.
+    """
+    n = len(circuit.variables)
+    table = offsets = None
 
     def fn(x: tuple) -> Fraction:
+        nonlocal table, offsets
+        if table is None:
+            grid, offsets, stride = {}, [], 1
+            for v in sorted(circuit.dependency_scope(), reverse=True):
+                bits = [bit for bit in (0, 1) if bit in circuit.variables[v].domain]
+                grid[v] = tuple(circuit.position(v, bit) for bit in bits)
+                offsets.append((v, {bit: k * stride for k, bit in enumerate(bits)}))
+                stride *= len(bits)
+            table = circuit.tabulate(grid)
+        if len(x) == n:
+            try:
+                return table[sum([o[x[v]] for v, o in offsets])]
+            except (KeyError, TypeError):
+                pass
         return circuit.evaluate(dict(enumerate(x)))
 
     return fn
@@ -89,21 +116,26 @@ def half_partition(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def perturbation_rank_bound(d_matrix, audit: bool = False) -> Fraction:
-    """Lower bound k/2 - Delta/2 on the rank of I + D, Delta the entry-wise l1 mass of D."""
+    """Lower bound k/2 - Delta/2 on the rank of I + D, Delta the entry-wise l1 mass of D.
+
+    Each row of D is scaled to integers once (`linalg.scaled_row`), so Delta
+    takes one Fraction per row, and adding each row's denominator on the
+    diagonal gives the integer rows of I + D, each times a positive scale,
+    for the audit's exact rank.
+    """
     k = len(d_matrix)
     delta = Fraction(0)
-    for row in d_matrix:
+    rows = []
+    for i, row in enumerate(d_matrix):
         if len(row) != k:
             raise SpnError("perturbation matrix must be square")
-        for x in row:
-            delta += abs(Fraction(x))
-    bound = (Fraction(k) - delta) / 2
+        ints, q = scaled_row(row)
+        delta += Fraction(sum(map(abs, ints)), q)
+        ints[i] += q
+        rows.append(ints)
+    bound = (k - delta) / 2
     if audit:
-        eye_plus = [
-            [Fraction(x) + (1 if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(d_matrix)
-        ]
-        rank = exact_rank(eye_plus)
+        rank = integer_rank(rows)
         if bound > rank:
             raise SpnError(f"perturbation bound {bound} exceeds exact rank {rank}")
     return bound
@@ -156,15 +188,11 @@ class Decomposition:
         return total
 
 
-def _points(circuit: Circuit, vars_: tuple[int, ...]):
-    """Every assignment to `vars_`, as (tuple of values, selection with the
-    other variables at domain position 0)."""
+def _grid(circuit: Circuit, vars_: tuple[int, ...]):
+    """Every domain position of each of `vars_` (ascending), and the
+    assignments of the grid's points in `Circuit.tabulate` order."""
     domains = [circuit.variables[v].domain for v in vars_]
-    for point in iter_product(*(range(len(d)) for d in domains)):
-        selection = [(0,)] * len(circuit.variables)
-        for v, p in zip(vars_, point):
-            selection[v] = (p,)
-        yield tuple(d[p] for d, p in zip(domains, point)), selection
+    return {v: range(len(d)) for v, d in zip(vars_, domains)}, list(iter_product(*domains))
 
 
 MAX_TABLE_VARS = 14  # the most variables a g or h table of decompose ranges over
@@ -210,23 +238,20 @@ def decompose(circuit: Circuit) -> Decomposition:
         if len(y_vars) > MAX_TABLE_VARS or len(z_vars) > MAX_TABLE_VARS:
             raise InstanceTooLargeError(f"term tables over more than {MAX_TABLE_VARS} variables")
 
-        g_table = {
-            key: Fraction(work.evaluate_selection(selection)[node])
-            for key, selection in _points(work, y_vars)
-        }
+        grid, keys = _grid(work, y_vars)
+        g_table = dict(zip(keys, map(Fraction, work.tabulate(grid, node))))
 
         pinned_one = rewrite(work, lambda nd, new, emit: emit(ConstantNode, Fraction(1)) if nd.id == node else nd)
         try:
             pinned_zero = excise(work, [node])
         except ZeroCircuitError:
             pinned_zero = None
-        h_table = {}
-        for key, selection in _points(work, z_vars):
-            hi = pinned_one.evaluate_selection(selection)[pinned_one.root]
-            lo = pinned_zero.evaluate_selection(selection)[pinned_zero.root] if pinned_zero else 0
-            if hi < lo:
-                raise SpnError("negative cofactor table entry; circuit is not D&C")
-            h_table[key] = Fraction(hi - lo)
+        grid, keys = _grid(work, z_vars)
+        hi = pinned_one.tabulate(grid)
+        lo = pinned_zero.tabulate(grid) if pinned_zero else [0] * len(hi)
+        if any(h < l for h, l in zip(hi, lo)):
+            raise SpnError("negative cofactor table entry; circuit is not D&C")
+        h_table = dict(zip(keys, [Fraction(h - l) for h, l in zip(hi, lo)]))
         terms.append(DecompositionTerm(y_vars, z_vars, g_table, h_table))
         work = pinned_zero
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from spn.circuit import deserialize, serialize
+from spn.circuit import CircuitBuilder, deserialize, serialize
+from spn.machines import build_equal, compile_fpssm, majority_machine, parity_machine
+from spn.rng import make_rng
 from spn.sptree import count_consistent_trees
 
-from genutil import incomplete_valid_fixture
+from genutil import incomplete_valid_fixture, random_dc_circuit
 
 # the CLI child imports the package from src/ without PYTHONPATH or an install
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -380,3 +382,94 @@ def test_malformed_assignment_is_a_typed_error(tmp_path):
     ]
     for args, stdin, fragment in cases:
         assert_one_error_line(run_cli(args, stdin=stdin), fragment)
+
+
+def _unused_variable_circuit():
+    """Five binary variables; the root reads 0, 1, 3 and 4, and a leaf over 2 hangs unreached."""
+    b = CircuitBuilder()
+    xs = [b.variable([0, 1]) for _ in range(5)]
+    leaves = [b.leaf(b.leaf_function(x, {0: x + 1, 1: Fraction(1, x + 2)})) for x in xs]
+    left = b.product([b.sum([(leaves[0], Fraction(2, 3)), (leaves[3], 1)]), leaves[1]])
+    right = b.product([leaves[4], b.sum([(leaves[1], 3), (b.constant(Fraction(1, 2)), 1)])])
+    return b.build(b.sum([(left, 1), (right, Fraction(5, 7))]))
+
+
+# stdin of the pinned rank reports; the ternary circuit's rank reads only
+# the bits 0 and 1 of its domains, its decomposition every value
+RANK_INPUTS = {
+    "equal12": lambda: build_equal(12),
+    "parity10": lambda: compile_fpssm(parity_machine(10)),
+    "majority6": lambda: compile_fpssm(majority_machine(6)),
+    "ternary": lambda: random_dc_circuit(make_rng(5), n=6, domain_size=3, max_size=30),
+    "unused": _unused_variable_circuit,
+}
+
+
+@pytest.mark.parametrize(
+    "name, args, digest",
+    [
+        ("equal12", ["rank"], "53eef578ffe84de20ad52bb73307129e5bc5e53a5081259406b9f876293bee71"),
+        (
+            "equal12",
+            ["depth3-report", "--format", "table"],
+            "18f21b156954752b8b22dc4a4a241bf32db51c0fba145ab549f3b3a7bb32f8e1",
+        ),
+        ("parity10", ["rank"], "eef8adf80b90fc46064ee66bf4416a92d85a9d4b29282fdfc8f8e55e91b57057"),
+        (
+            "parity10",
+            ["depth3-report", "--format", "table"],
+            "fbce924a1aa9130085220f23b267d613e781a6f4c83de2d046c63997824c8be3",
+        ),
+        ("majority6", ["rank"], "b2642d8a56194a2788db201b71fb48a1ffd344321356106daddce4c871709c67"),
+        (
+            "majority6",
+            ["depth3-report", "--format", "table"],
+            "80e22b3cf15acb72fa3a1a9d2c1a026bf921e227d47d696c86a8a1f53807f398",
+        ),
+        (
+            "ternary",
+            ["rank", "--partition", "A=2,4,5"],
+            "9d892374c658a56a5ea0e3c5d452625f62a15fe52fd9aadfbe34cb4d81a1339a",
+        ),
+        ("ternary", ["decompose"], "69f0fbeed82e50282e6f90d41dcb59e5fbccaf2272ee267cbed018e37cf9738b"),
+        ("unused", ["depth3-report"], "bd4c51f09205ea39757c1dafb9b53387d88d070e780a2a8643f1d1fb187dd994"),
+    ],
+)
+def test_rank_and_decompose_reports_are_pinned(name, args, digest):
+    # exact bytes of each report as the per-point evaluation gave them: a
+    # changed matrix entry or table value shows here
+    proc = run_cli(args, stdin=serialize(RANK_INPUTS[name]()))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_rank_errors():
+    too_big = run_cli(["rank"], stdin=serialize(build_equal(40)))
+    assert (too_big.returncode, too_big.stderr) == (1, "error: blocks limited to 12 variables\n")
+    b = CircuitBuilder()
+    xs = [b.variable([1, 2]) for _ in range(2)]
+    off_domain = b.build(b.product([b.leaf(b.leaf_function(x, {1: 1, 2: 3})) for x in xs]))
+    proc = run_cli(["rank"], stdin=serialize(off_domain))
+    assert (proc.returncode, proc.stderr) == (1, "error: value 0 not in domain of variable 0\n")
+    equal4 = serialize(build_equal(4))
+    for spec, var in (("A=5", 5), ("A=-1", -1)):
+        proc = run_cli(["rank", "--partition", spec], stdin=equal4)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: partition variable {var} is not among the variables 0..3\n"
+
+
+def test_rank_does_not_import_numpy():
+    # tabulation is pure Python: `spn rank` must not pay numpy's import
+    code = (
+        "import sys\nfrom spn.cli import main\n"
+        "rc = main(['rank'])\nprint(rc, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=serialize(build_equal(12)),
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert json.loads(proc.stdout)["rank"] == 64
+    assert proc.stderr == "0 False\n"

@@ -9,11 +9,12 @@ and bounded, so the suite is deterministic and its cost fixed.
 import math
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.circuit import Circuit, ConstantNode, ProductNode, SumNode, deserialize, serialize
+from spn.circuit import Circuit, ConstantNode, LeafFunction, ProductNode, SumNode, deserialize, serialize
 from spn.errors import SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
@@ -24,10 +25,10 @@ from spn.inference import (
     partition_function,
     sample,
 )
-from spn.linalg import det_symmetric
+from spn.linalg import det_symmetric, integer_rank
 from spn.machines import Fpssm, compile_fpssm, eval_fpssm
 from spn.rng import make_rng
-from spn.separation import binarize_products, decompose
+from spn.separation import binarize_products, decompose, perturbation_rank_bound
 from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
 from spn.structure import (
     brute_force_validity,
@@ -47,6 +48,7 @@ from genutil import (
     random_dc_circuit,
     random_free_circuit,
     randomize_tables,
+    rank_oracle,
     reference_det,
     reference_sample,
     reference_validity,
@@ -120,6 +122,76 @@ def test_sample_matches_fraction_reference(seed):
     for _ in range(20):
         assert list(sample(handle, ours).items()) == list(reference_sample(norm, theirs).items())
     assert ours.random() == theirs.random()
+
+
+def with_fraction_values(c, rng):
+    """The same circuit with each leaf value and sum weight divided by 1, 2 or 3."""
+    fns = [
+        LeafFunction(f.id, f.variable, {k: x / int(rng.integers(1, 4)) for k, x in f.table.items()}, f.name)
+        for f in c.leaf_functions
+    ]
+    nodes = [
+        SumNode(nd.id, nd.children, tuple(w / int(rng.integers(1, 4)) for w in nd.weights))
+        if isinstance(nd, SumNode)
+        else nd
+        for nd in c.nodes
+    ]
+    return Circuit(c.variables, fns, nodes, c.root, c.extended)
+
+
+@settings(PROFILE, max_examples=150)
+@given(seeds)
+def test_tabulate_matches_point_passes(seed):
+    # free circuits multiply tables over shared variables, D&C ones over
+    # disjoint ones; variables left out of the grid stay at position 0
+    rng = make_rng(seed)
+    if rng.random() < 0.5:
+        c = random_free_circuit(rng, max_vars=4, max_domain=3, max_size=15)
+    else:
+        c = random_dc_circuit(rng, n=int(rng.integers(2, 5)), domain_size=int(rng.integers(2, 4)), max_size=20)
+    c = with_fraction_values(c, rng)
+    grid = {}
+    for v, spec in enumerate(c.variables):
+        if rng.random() < 0.75:
+            picks = rng.choice(len(spec.domain), size=int(rng.integers(1, len(spec.domain) + 1)), replace=False)
+            grid[v] = tuple(int(p) for p in picks)
+    variables = sorted(grid)
+    points = list(iter_product(*(grid[v] for v in variables)))
+    for node in (c.root, int(rng.integers(len(c.nodes)))):
+        cells = c.tabulate(grid, node)
+        assert len(cells) == len(points)
+        for cell, point in zip(cells, points):
+            selection = [(0,)] * len(c.variables)
+            for v, p in zip(variables, point):
+                selection[v] = (p,)
+            expected = c.evaluate_selection(selection)[node]
+            assert cell == expected and type(cell) is type(expected)
+
+
+def perturbation_entry(rng):
+    """An entry of D as an int, a Fraction, a 'p/q' string or a float."""
+    p, q = int(rng.integers(-3, 4)), int(rng.integers(1, 5))
+    return (p, Fraction(p, q), f"{p}/{q}", p / 4)[int(rng.integers(4))]
+
+
+@PROFILE
+@given(seeds)
+def test_perturbation_bound_matches_fraction_formula(seed):
+    rng = make_rng(seed)
+    k = int(rng.integers(0, 8))
+    density = rng.random()
+    d = [[perturbation_entry(rng) if rng.random() < density else 0 for _ in range(k)] for _ in range(k)]
+    delta = sum((abs(Fraction(x)) for row in d for x in row), Fraction(0))
+    eye_plus = [[Fraction(x) + (i == j) for j, x in enumerate(row)] for i, row in enumerate(d)]
+    ranks = []
+    with patch("spn.separation.integer_rank", lambda rows: ranks.append(integer_rank(rows)) or ranks[-1]):
+        bound = perturbation_rank_bound(d, audit=True)
+    assert bound == (Fraction(k) - delta) / 2 and type(bound) is Fraction
+    assert ranks == [rank_oracle(eye_plus)] and bound <= ranks[0]
+    assert perturbation_rank_bound(d) == bound
+    if k:
+        with pytest.raises(SpnError, match="^perturbation matrix must be square$"):
+            perturbation_rank_bound(d[:-1] + [d[-1][:-1]])
 
 
 @PROFILE

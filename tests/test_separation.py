@@ -5,8 +5,9 @@ from itertools import product as iter_product
 
 import pytest
 
+from spn import separation
 from spn.circuit import CircuitBuilder
-from spn.errors import SpnError
+from spn.errors import DomainError, InstanceTooLargeError, SpnError, UnknownVariableError
 from spn.machines import build_equal, equal_function
 from spn.rng import make_rng
 from spn.separation import (
@@ -61,6 +62,21 @@ def test_partition_validation():
         comm_matrix(lambda x: 1, 4, ((0, 1), (2,)))
 
 
+def test_partition_names_an_out_of_range_variable():
+    for v in (5, -1):
+        with pytest.raises(SpnError, match=rf"^partition variable {v} is not among the variables 0\.\.3$"):
+            comm_matrix(lambda x: 1, 4, ((v,), (0, 1, 2, 3)))
+
+
+def test_rank_rejects_ragged_rows():
+    with pytest.raises(SpnError, match="row 1 has 1 entries, row 0 has 2"):
+        exact_rank([[1, 2], [3]])
+    with pytest.raises(SpnError, match="row 1 has 2 entries, row 0 has 1"):
+        exact_rank([[1], [2, 3]])
+    with pytest.raises(SpnError, match="row 2 has 3 entries, row 0 has 2"):
+        exact_rank([[0, 0], [0, 0], [1, 2, 3]])
+
+
 def test_rank_of_identity_and_outer_product():
     eye = [[1 if i == j else 0 for j in range(16)] for i in range(16)]
     assert exact_rank(eye) == 16
@@ -101,6 +117,19 @@ def test_perturbation_bound_examples():
     assert perturbation_rank_bound(zero, audit=True) == 4
     neg_eye = [[-1 if i == j else 0 for j in range(8)] for i in range(8)]
     assert perturbation_rank_bound(neg_eye, audit=True) == 0
+
+
+def test_perturbation_bound_of_the_empty_matrix():
+    bound = perturbation_rank_bound([], audit=True)
+    assert bound == 0 and type(bound) is Fraction
+    with pytest.raises(SpnError, match="must be square"):
+        perturbation_rank_bound([[]])
+
+
+def test_perturbation_audit_raises_above_the_rank(monkeypatch):
+    monkeypatch.setattr(separation, "integer_rank", lambda rows: 1)
+    with pytest.raises(SpnError, match="perturbation bound 2 exceeds exact rank 1"):
+        perturbation_rank_bound([[0] * 4 for _ in range(4)], audit=True)
 
 
 def test_perturbation_bound_random_audit():
@@ -239,3 +268,66 @@ def test_circuit_evaluator_adapter():
     m1 = comm_matrix(circuit_evaluator(eq), 6, half_partition(6))
     m2 = comm_matrix(equal_function(6), 6, half_partition(6))
     assert m1.entries == m2.entries
+
+
+def _evaluator_fixture():
+    """Ternary, binary and reversed-domain variables, Fraction values, an unused variable 2."""
+    b = CircuitBuilder()
+    x0, x1, x2, x3 = b.variable([0, 1, 2]), b.variable([0, 1]), b.variable([0, 1]), b.variable([2, 1, 0])
+    l0 = b.leaf(b.leaf_function(x0, {0: 2, 1: Fraction(1, 3), 2: 5}))
+    l1 = b.leaf(b.leaf_function(x1, {0: 1, 1: 4}))
+    b.leaf(b.leaf_function(x2, {0: 7, 1: 8}))
+    l3 = b.leaf(b.leaf_function(x3, {0: 3, 1: 0, 2: Fraction(3, 2)}))
+    half = b.sum([(b.product([l0, l1]), Fraction(3, 4)), (b.constant(2), 1)])
+    return b.build(b.product([half, b.sum([(l3, 2), (l1, 1)])]))
+
+
+def test_circuit_evaluator_keeps_evaluate_semantics():
+    c = _evaluator_fixture()
+    fn = circuit_evaluator(c)
+    for x in iter_product((0, 1), repeat=4):
+        got, expected = fn(x), c.evaluate(dict(enumerate(x)))
+        assert got == expected and type(got) is type(expected)
+    # off the bit grid: another domain value, an unused variable's junk
+    for x in ((2, 1, 0, 1), (0, 1, 9, 2), (1, 0, "z", 0)):
+        assert fn(x) == c.evaluate(dict(enumerate(x)))
+    with pytest.raises(DomainError, match="value 3 not in domain of variable 0"):
+        fn((3, 0, 0, 0))
+    with pytest.raises(UnknownVariableError, match="misses variable 3"):
+        fn((0, 0, 0))
+    with pytest.raises(UnknownVariableError, match="unknown variable 4"):
+        fn((0, 0, 0, 0, 0))
+
+
+def test_circuit_evaluator_outside_the_domain():
+    b = CircuitBuilder()
+    xs = [b.variable([1, 2]) for _ in range(2)]
+    c = b.build(b.product([b.leaf(b.leaf_function(x, {1: 1, 2: 3})) for x in xs]))
+    with pytest.raises(DomainError, match="value 0 not in domain of variable 0"):
+        comm_matrix(circuit_evaluator(c), 2, half_partition(2))
+
+
+def test_tabulate_caps_its_grid():
+    b = CircuitBuilder()
+    xs = [b.variable([0, 1]) for _ in range(25)]
+    c = b.build(b.product([b.leaf(b.leaf_function(x, {0: 1, 1: 2})) for x in xs]))
+    assert c.tabulate({0: (1,), 7: (0, 1)}) == [2, 4]  # the other variables at position 0
+    with pytest.raises(InstanceTooLargeError):
+        c.tabulate({v: (0, 1) for v in range(25)})
+
+
+def test_tabulate_keeps_fraction_types_of_integral_scalars():
+    # scalars Fraction(1) and Fraction(0) from untabulated variables must
+    # turn int cells into Fractions, as in a point pass
+    b = CircuitBuilder()
+    x, y = b.variable([0, 1]), b.variable([0, 1])
+    lx = b.leaf(b.leaf_function(x, {0: 1, 1: 2}))
+    half = b.leaf(b.leaf_function(y, {0: Fraction(1, 2), 1: 3}))
+    one = b.product([half, b.constant(2)])
+    nil = b.product([half, b.constant(0)])
+    scaled = b.product([lx, one])
+    shifted = b.sum([(nil, 1), (lx, 1)])
+    c = b.build(b.sum([(scaled, 1), (shifted, 1)]))
+    for node in (scaled, shifted):
+        cells = c.tabulate({x: (0, 1)}, node)
+        assert cells == [1, 2] and all(type(cell) is Fraction for cell in cells)
