@@ -45,4 +45,5 @@ from .structure import (
     cnf_to_extended_spn,
     complete_transform,
     prune_degenerate,
+    validity_witness,
 )

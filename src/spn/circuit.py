@@ -149,13 +149,35 @@ class Circuit:
         self._scopes = None
         self._plan = None
 
+    @classmethod
+    def _rebuilt(cls, source: "Circuit", leaf_functions: Sequence[LeafFunction], nodes: Sequence[Node], root: int):
+        """A circuit over `source`'s variables with new nodes (see structure.rewrite).
+
+        The leaf functions that are `source`'s own objects, in their
+        places, were checked when `source` was built and are not checked
+        again; the nodes and every other leaf function are.
+        """
+        self = cls.__new__(cls)
+        self.variables, self.leaf_functions, self.nodes = source.variables, tuple(leaf_functions), tuple(nodes)
+        self.root, self.extended = root, source.extended
+        checked = 0
+        for mine, theirs in zip(self.leaf_functions, source.leaf_functions):
+            if mine is not theirs:
+                break
+            checked += 1
+        self._validate(checked)
+        self._scopes = None
+        self._plan = None
+        return self
+
     # -- validation ------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, checked: int = 0):
+        # Leaf functions before index `checked` were checked with the same variables.
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise CircuitStructureError(f"variable ids must be 0..n-1, got {v.id} at {i}")
-        for i, f in enumerate(self.leaf_functions):
+        for i, f in enumerate(self.leaf_functions[checked:], checked):
             if f.id != i:
                 raise CircuitStructureError(f"leaf-function ids must be dense, got {f.id} at {i}")
             if not (0 <= f.variable < len(self.variables)):
@@ -328,18 +350,24 @@ class Circuit:
 
         A point selects one position per variable; a marginal query selects
         its integration set, so the leaf contributes a partial sum.  With
-        `grid`, a map variable -> domain positions, a leaf over a grid
-        variable instead yields a `NodeTable` of its values at those
-        positions, which the sum and product steps combine by broadcasting
-        (see `tabulate`).  This is the one evaluation loop of the package.
-        Returns the full per-node value list.
+        `grid`, a map variable -> sequence of selections (position sets), a
+        leaf over a grid variable instead yields a `NodeTable` of its sums
+        over each of those sets, which the sum and product steps combine by
+        broadcasting (see `tabulate`).  This is the one evaluation loop of
+        the package.  Returns the full per-node value list.
         """
         steps = self._eval_plan()[0]
         values = [0] * len(steps)
         for i, (kind, a, b) in enumerate(steps):
             if kind == "leaf":
                 if grid is not None and a in grid:
-                    acc = NodeTable((a,), (len(grid[a]),), [b[p] for p in grid[a]])
+                    cells = []
+                    for positions in grid[a]:
+                        acc = 0
+                        for p in positions:
+                            acc += b[p]
+                        cells.append(acc)
+                    acc = NodeTable((a,), (len(cells),), cells)
                 else:
                     acc = 0
                     for p in selection[a]:
@@ -359,16 +387,19 @@ class Circuit:
                 values[i] = acc
         return values
 
-    def tabulate(self, grid: Mapping[int, Sequence[int]], node: int | None = None) -> list:
-        """Values of `node` (default: the root) at every point of a grid.
+    def tabulate(self, grid: Mapping[int, Sequence[Sequence[int]]], node: int | None = None) -> list:
+        """Values of `node` (default: the root) at every selection of a grid.
 
-        `grid` maps variables to the domain positions each ranges over;
-        other variables sit at domain position 0.  The result is flat in
-        row-major order over the grid variables in ascending id order, the
-        last fastest.  One `evaluate_selection` pass tabulates each node
-        once over the grid variables it depends on; every cell has the
-        value and type of a point pass.  InstanceTooLargeError beyond
-        MAX_TABLE_CELLS points.
+        `grid` maps variables to the selections each ranges over, a
+        selection being a tuple of domain positions: 1-tuples give points,
+        larger sets give the substituted values of the marginal-substitution
+        identity (each leaf summed over its variable's set).  Other variables
+        sit at domain position 0.  The result is flat in row-major order over
+        the grid variables in ascending id order, the last fastest.  One
+        `evaluate_selection` pass tabulates each node once over the grid
+        variables it depends on; every cell has the value and type of
+        `evaluate_selection` at that selection.  InstanceTooLargeError beyond
+        MAX_TABLE_CELLS cells.
         """
         vars_ = tuple(sorted(grid))
         sizes = tuple(len(grid[v]) for v in vars_)

@@ -97,7 +97,7 @@ def circuit_evaluator(circuit: Circuit):
             grid, offsets, stride = {}, [], 1
             for v in sorted(circuit.dependency_scope(), reverse=True):
                 bits = [bit for bit in (0, 1) if bit in circuit.variables[v].domain]
-                grid[v] = tuple(circuit.position(v, bit) for bit in bits)
+                grid[v] = tuple((circuit.position(v, bit),) for bit in bits)
                 offsets.append((v, {bit: k * stride for k, bit in enumerate(bits)}))
                 stride *= len(bits)
             table = circuit.tabulate(grid)
@@ -189,10 +189,11 @@ class Decomposition:
 
 
 def _grid(circuit: Circuit, vars_: tuple[int, ...]):
-    """Every domain position of each of `vars_` (ascending), and the
-    assignments of the grid's points in `Circuit.tabulate` order."""
+    """Every domain position of each of `vars_` (ascending) as a point
+    selection, and the assignments of the grid's points in
+    `Circuit.tabulate` order."""
     domains = [circuit.variables[v].domain for v in vars_]
-    return {v: range(len(d)) for v, d in zip(vars_, domains)}, list(iter_product(*domains))
+    return {v: [(p,) for p in range(len(d))] for v, d in zip(vars_, domains)}, list(iter_product(*domains))
 
 
 MAX_TABLE_VARS = 14  # the most variables a g or h table of decompose ranges over

@@ -9,6 +9,7 @@ unsatisfiability.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
@@ -123,7 +124,9 @@ def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
     zero and is zero without edges.  Only what the new root reaches is
     built, in emission order under dense ids.  Variables and leaf-function
     ids (so output monomials) are kept; a rule may extend `leaf_functions`,
-    which then replaces the list.  Raises ZeroCircuitError if the root dies.
+    which then replaces the list.  The new nodes and the added leaf
+    functions are checked, the kept leaf functions are not again.  Raises
+    ZeroCircuitError if the root dies.
     """
     new, spec = [None] * len(circuit.nodes), []
 
@@ -166,7 +169,7 @@ def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
             if kind is SumNode or kind is ProductNode:
                 a = tuple(map(ids.__getitem__, a))
             nodes.append(SumNode(ids[i], a, b) if kind is SumNode else kind(ids[i], a))
-    return Circuit(circuit.variables, leaf_functions or circuit.leaf_functions, nodes, ids[root], circuit.extended)
+    return Circuit._rebuilt(circuit, leaf_functions or circuit.leaf_functions, nodes, ids[root])
 
 
 def prune_degenerate(circuit: Circuit) -> Circuit:
@@ -262,18 +265,23 @@ def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:
 ORACLE_MAX_VARS, ORACLE_MAX_DOMAIN = 4, 3
 
 
-def brute_force_validity(circuit: Circuit) -> bool:
-    """Check the marginal-substitution identity exhaustively.
+def validity_witness(circuit: Circuit):
+    """The first selection that breaks the marginal-substitution identity, or None.
 
     A selection picks one non-empty set of domain positions per variable
     of the root's dependency-scope (position 0 for the others).  The
-    identity says its substituted evaluation, where each leaf sums its
-    table over its variable's set, equals the sum of the circuit over the
-    points the selection covers.  Each selection is evaluated once: the
-    all-single-value ones (the grid) are the points themselves, and each
-    other one is compared with the sum of the grid values it covers.
-    Every (I, S, fixed) check of the definition is one of these
-    selections.  Extended circuits are allowed.
+    identity says its substituted value, where each leaf sums its table
+    over its variable's set, equals the sum of the circuit over the points
+    the selection covers.  Every (I, S, fixed) check of the definition is
+    one of these selections.  One `Circuit.tabulate` over the lattice of
+    selections (per variable its non-empty position sets, singletons
+    first) gives every substituted value; its all-singleton cells are the
+    points, and subset sums along one axis at a time (Yates' method, the
+    zeta transform: each set is its prefix plus one singleton) turn them
+    into every exhaustive sum.  Returns
+    (selection, substituted value, exhaustive sum) at the first unequal
+    cell in row-major order, the selection as `Circuit.evaluate_selection`
+    takes it; None if every cell agrees.  Extended circuits are allowed.
     """
     dep = sorted(circuit.dependency_scope())
     sizes = [len(circuit.variables[v].domain) for v in dep]
@@ -281,20 +289,43 @@ def brute_force_validity(circuit: Circuit) -> bool:
         raise InstanceTooLargeError(
             f"oracle bound exceeded: n <= {ORACLE_MAX_VARS}, |domain| <= {ORACLE_MAX_DOMAIN}"
         )
-    # Singletons come first in each list, so product order reaches every
-    # grid point before any selection that covers it.
-    subsets = [[s for r in range(1, k + 1) for s in combinations(range(k), r)] for k in sizes]
-    selection = [(0,)] * len(circuit.variables)
-    grid = {}
-    for choice in iter_product(*subsets):
-        for v, positions in zip(dep, choice):
-            selection[v] = positions
-        value = circuit.evaluate_selection(selection)[circuit.root]
-        if all(len(s) == 1 for s in choice):
-            grid[tuple(s[0] for s in choice)] = value
-        elif value != sum(grid[point] for point in iter_product(*choice)):
-            return False
-    return True
+    lattice = [[s for r in range(1, k + 1) for s in combinations(range(k), r)] for k in sizes]
+    substituted = circuit.tabulate(dict(zip(dep, lattice)))
+    # One axis at a time: after an axis's pass, every cell that is a
+    # singleton on all later axes holds its exhaustive sum.  Along the
+    # axis, the row of a set is the row of its prefix (an earlier set)
+    # plus the row of its last position p's singleton, which is row p.
+    exhaustive = list(substituted)
+    stride = len(exhaustive)
+    for sets, k in zip(lattice, sizes):
+        block, stride = stride, stride // len(sets)
+        index = {s: t for t, s in enumerate(sets)}
+        for base in range(0, len(exhaustive), block):
+            rows = [base + t * stride for t in range(len(sets))]
+            for t in range(k, len(sets)):
+                prefix, last = rows[index[sets[t][:-1]]], rows[sets[t][-1]]
+                exhaustive[rows[t] : rows[t] + stride] = map(
+                    operator.add, exhaustive[prefix : prefix + stride], exhaustive[last : last + stride]
+                )
+    if substituted == exhaustive:
+        return None
+    i = next(i for i, (a, b) in enumerate(zip(substituted, exhaustive)) if a != b)
+    selection, rest = [(0,)] * len(circuit.variables), i
+    for v, sets in zip(reversed(dep), reversed(lattice)):
+        rest, t = divmod(rest, len(sets))
+        selection[v] = sets[t]
+    return selection, substituted[i], exhaustive[i]
+
+
+def brute_force_validity(circuit: Circuit) -> bool:
+    """Check the marginal-substitution identity exhaustively.
+
+    True iff `validity_witness` finds no selection that breaks it: one
+    tabulation over the lattice of selections of the dependency-scope
+    (at most (2^3 - 1)^4 = 2,401 cells within the oracle bound) against
+    the subset sums of its point cells.  Extended circuits are allowed.
+    """
+    return validity_witness(circuit) is None
 
 
 # -- CNF reduction -----------------------------------------------------------

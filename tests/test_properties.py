@@ -27,6 +27,7 @@ from spn.inference import (
 )
 from spn.linalg import det_symmetric, integer_rank
 from spn.machines import Fpssm, compile_fpssm, eval_fpssm
+from spn.polynomial import expand
 from spn.rng import make_rng
 from spn.separation import binarize_products, decompose, perturbation_rank_bound
 from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
@@ -38,6 +39,8 @@ from spn.structure import (
     degeneracy_offenders,
     excise,
     is_dc,
+    prune_degenerate,
+    validity_witness,
 )
 
 from genutil import (
@@ -143,7 +146,8 @@ def with_fraction_values(c, rng):
 @given(seeds)
 def test_tabulate_matches_point_passes(seed):
     # free circuits multiply tables over shared variables, D&C ones over
-    # disjoint ones; variables left out of the grid stay at position 0
+    # disjoint ones; a grid variable ranges over single positions and
+    # position sets, and variables left out of the grid stay at position 0
     rng = make_rng(seed)
     if rng.random() < 0.5:
         c = random_free_circuit(rng, max_vars=4, max_domain=3, max_size=15)
@@ -153,17 +157,20 @@ def test_tabulate_matches_point_passes(seed):
     grid = {}
     for v, spec in enumerate(c.variables):
         if rng.random() < 0.75:
-            picks = rng.choice(len(spec.domain), size=int(rng.integers(1, len(spec.domain) + 1)), replace=False)
-            grid[v] = tuple(int(p) for p in picks)
+            k = len(spec.domain)
+            grid[v] = [
+                tuple(int(p) for p in rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+                for _ in range(int(rng.integers(1, k + 2)))
+            ]
     variables = sorted(grid)
-    points = list(iter_product(*(grid[v] for v in variables)))
+    selections = list(iter_product(*(grid[v] for v in variables)))
     for node in (c.root, int(rng.integers(len(c.nodes)))):
         cells = c.tabulate(grid, node)
-        assert len(cells) == len(points)
-        for cell, point in zip(cells, points):
+        assert len(cells) == len(selections)
+        for cell, chosen in zip(cells, selections):
             selection = [(0,)] * len(c.variables)
-            for v, p in zip(variables, point):
-                selection[v] = (p,)
+            for v, positions in zip(variables, chosen):
+                selection[v] = positions
             expected = c.evaluate_selection(selection)[node]
             assert cell == expected and type(cell) is type(expected)
 
@@ -209,7 +216,37 @@ def test_validity_oracle_matches_reference(seed):
         c = randomize_tables(random_free_circuit(rng, max_vars=3, max_size=10), rng, lo=0)
     else:
         c = small_dc_circuit(rng)
-    assert brute_force_validity(c) == reference_validity(c)
+    witness = validity_witness(c)
+    assert brute_force_validity(c) == (witness is None) == reference_validity(c)
+    if witness is not None:
+        # the witness breaks the identity: its substituted value against the
+        # exhaustive sum over the value sets it selects
+        selection, substituted, exhaustive = witness
+        sets = {v: [c.variables[v].domain[p] for p in selection[v]] for v in c.dependency_scope()}
+        assert substituted == c.evaluate_selection(selection)[c.root]
+        assert exhaustive == exhaustive_marginal(c, sets, {}) != substituted
+
+
+@PROFILE
+@given(seeds)
+def test_prune_preserves_expansion(seed):
+    # zero weights and zero constants; the root dies exactly when the
+    # output polynomial is zero
+    rng = make_rng(seed)
+    c = random_free_circuit(rng, pruned=False, zero_weights=True)
+    nodes = [
+        ConstantNode(nd.id, Fraction(0)) if isinstance(nd, ConstantNode) and rng.random() < 0.5 else nd
+        for nd in c.nodes
+    ]
+    c = Circuit(c.variables, c.leaf_functions, nodes, c.root)
+    terms = expand(c).terms
+    if not terms:
+        with pytest.raises(ZeroCircuitError):
+            prune_degenerate(c)
+        return
+    pruned = prune_degenerate(c)
+    assert expand(pruned).terms == terms
+    assert not degeneracy_offenders(pruned)
 
 
 @PROFILE

@@ -311,9 +311,9 @@ def test_tabulate_caps_its_grid():
     b = CircuitBuilder()
     xs = [b.variable([0, 1]) for _ in range(25)]
     c = b.build(b.product([b.leaf(b.leaf_function(x, {0: 1, 1: 2})) for x in xs]))
-    assert c.tabulate({0: (1,), 7: (0, 1)}) == [2, 4]  # the other variables at position 0
+    assert c.tabulate({0: [(1,)], 7: [(0,), (1,)]}) == [2, 4]  # the other variables at position 0
     with pytest.raises(InstanceTooLargeError):
-        c.tabulate({v: (0, 1) for v in range(25)})
+        c.tabulate({v: [(0,), (1,)] for v in range(25)})
 
 
 def test_tabulate_keeps_fraction_types_of_integral_scalars():
@@ -329,5 +329,5 @@ def test_tabulate_keeps_fraction_types_of_integral_scalars():
     shifted = b.sum([(nil, 1), (lx, 1)])
     c = b.build(b.sum([(scaled, 1), (shifted, 1)]))
     for node in (scaled, shifted):
-        cells = c.tabulate({x: (0, 1)}, node)
+        cells = c.tabulate({x: [(0,), (1,)]}, node)
         assert cells == [1, 2] and all(type(cell) is Fraction for cell in cells)

@@ -1,14 +1,17 @@
 """Structural predicates, transforms, the validity oracle, and the CNF reduction."""
 
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
-from spn.circuit import Circuit, CircuitBuilder, LeafNode, ProductNode, SumNode
+from spn.circuit import Circuit, CircuitBuilder, LeafFunction, LeafNode, ProductNode, SumNode
 from spn.errors import (
     DegenerateCircuitError,
+    DomainError,
     ExtendedCircuitError,
     InstanceTooLargeError,
+    MonotonicityError,
     SpnError,
     TrivialVariableError,
     ZeroCircuitError,
@@ -17,6 +20,8 @@ from spn.machines import build_equal
 from spn.polynomial import expand, is_set_multilinear
 from spn.rng import make_rng
 from spn.structure import (
+    ORACLE_MAX_DOMAIN,
+    ORACLE_MAX_VARS,
     analyze,
     brute_force_validity,
     check_complete,
@@ -27,6 +32,8 @@ from spn.structure import (
     complete_transform,
     parse_dimacs,
     prune_degenerate,
+    rewrite,
+    validity_witness,
 )
 
 from genutil import (
@@ -34,6 +41,7 @@ from genutil import (
     random_dc_circuit,
     random_free_circuit,
     randomize_tables,
+    reference_validity,
     zero_weight_square_fixture,
 )
 
@@ -117,6 +125,23 @@ def test_prune_is_idempotent_and_preserves_expansion():
         assert pruned.structurally_equal(prune_degenerate(pruned))
         assert expand(pruned).terms == expand(c).terms
         assert analyze(pruned).non_degenerate
+
+
+def test_rewrite_checks_added_leaf_functions():
+    # the kept leaf functions are not checked again; an added one, or one
+    # put in place of a kept one, is
+    c = incomplete_decomposable_circuit()
+    fns = list(c.leaf_functions)
+    short = LeafFunction(len(fns), 0, {Fraction(0): Fraction(1)})
+    negative = LeafFunction(len(fns), 0, {Fraction(0): Fraction(-1), Fraction(1): Fraction(1)})
+    keep = lambda node, new, emit: node
+    with pytest.raises(DomainError):
+        rewrite(c, keep, fns + [short])
+    with pytest.raises(MonotonicityError):
+        rewrite(c, keep, fns + [negative])
+    with pytest.raises(DomainError):
+        rewrite(c, keep, [LeafFunction(0, 0, short.table)] + fns[1:])
+    assert rewrite(c, keep, fns + [LeafFunction(len(fns), 0, {Fraction(0): 1, Fraction(1): 1})])
 
 
 def test_prune_fixed_point_on_clean_circuit():
@@ -271,15 +296,62 @@ def test_oracle_on_incomplete_fixture():
     assert not brute_force_validity(incomplete_valid_fixture(identity_second=True))
 
 
-def test_oracle_evaluates_each_selection_once(monkeypatch):
-    selections = []
+def test_oracle_is_one_tabulation(monkeypatch):
+    # one pass over the lattice: each variable of equal at n=4 ranges over
+    # its three non-empty position sets, singletons first
+    grids = []
     evaluate = Circuit.evaluate_selection
     monkeypatch.setattr(
-        Circuit, "evaluate_selection", lambda self, s: selections.append(tuple(s)) or evaluate(self, s)
+        Circuit, "evaluate_selection", lambda self, s, grid=None: grids.append(grid) or evaluate(self, s, grid)
     )
     assert brute_force_validity(build_equal(4))
-    # three non-empty position sets for each of the four binary variables
-    assert len(selections) == len(set(selections)) == 81
+    assert grids == [{v: [(0,), (1,), (0, 1)] for v in range(4)}]
+
+
+def test_witness_on_incomplete_fixture():
+    assert validity_witness(incomplete_valid_fixture()) is None
+    # (x1 x1 + 1) x2 with x1 integrated over {0, 1} and x2 = 1: the
+    # substituted leaves give (1 * 1 + 1) * 1, the points (0 + 1) + (1 + 1)
+    assert validity_witness(incomplete_valid_fixture(identity_second=True)) == ([(0, 1), (1,)], 2, 3)
+
+
+def test_witness_on_satisfiable_cnf():
+    # x1 (1 - x1 (1 - x1)) with x1 integrated over {0, 1}: the guard
+    # reads 1 - 1 * 1, the points 0 and 1
+    assert validity_witness(cnf_to_extended_spn([[1]])) == ([(0, 1)], 0, 1)
+
+
+def test_oracle_on_constant_root():
+    # the dependency-scope is empty: one cell, with nothing to integrate
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    b.leaf(b.leaf_function(x, {0: 1, 1: 2}))
+    c = b.build(b.constant(3))
+    assert c.dependency_scope() == frozenset()
+    assert validity_witness(c) is None
+    assert brute_force_validity(c) == reference_validity(c)
+
+
+def test_oracle_with_a_domain_one_variable():
+    # x has the single value 5, so squaring its leaf breaks nothing;
+    # squaring the leaf over the binary y does
+    b = CircuitBuilder()
+    x, y = b.variable([5]), b.variable([0, 1])
+    lx = b.leaf(b.leaf_function(x, {5: 2}))
+    ly = b.leaf(b.leaf_function(y, {0: 1, 1: 3}))
+    valid = b.build(b.product([lx, lx, ly]))
+    invalid = b.build(b.product([lx, ly, ly]))
+    assert brute_force_validity(valid) == reference_validity(valid) is True
+    assert brute_force_validity(invalid) == reference_validity(invalid) is False
+    assert validity_witness(invalid) == ([(0,), (0, 1)], 32, 20)
+
+
+def test_oracle_at_its_bound():
+    # four variables with three values each: (2^3 - 1)^4 = 2,401 cells
+    c = random_dc_circuit(make_rng(37), n=4, domain_size=3, max_size=15)
+    assert len(c.dependency_scope()) == ORACLE_MAX_VARS
+    assert {len(v.domain) for v in c.variables} == {ORACLE_MAX_DOMAIN}
+    assert brute_force_validity(c) == reference_validity(c) is True
 
 
 def test_oracle_rejects_large_instances():
