@@ -174,6 +174,7 @@ class Circuit:
 
     def _validate(self, checked: int = 0):
         # Leaf functions before index `checked` were checked with the same variables.
+        # Values are ints and Fractions: the sign of `x.numerator` skips Fraction's comparison protocol.
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise CircuitStructureError(f"variable ids must be 0..n-1, got {v.id} at {i}")
@@ -185,7 +186,7 @@ class Circuit:
             domain = self.variables[f.variable].domain
             if set(f.table.keys()) != set(domain):
                 raise DomainError(f"leaf function {i}: table keys must equal the domain")
-            if not self.extended and any(v < 0 for v in f.table.values()):
+            if not self.extended and any(v.numerator < 0 for v in f.table.values()):
                 raise MonotonicityError(f"leaf function {i}: negative value in monotone circuit")
         n_nodes = len(self.nodes)
         if n_nodes == 0:
@@ -197,7 +198,7 @@ class Circuit:
                 if not (0 <= node.leaf_function < len(self.leaf_functions)):
                     raise CircuitStructureError(f"node {i}: unknown leaf function")
             elif isinstance(node, ConstantNode):
-                if not self.extended and node.value < 0:
+                if not self.extended and node.value.numerator < 0:
                     raise MonotonicityError(f"node {i}: negative constant in monotone circuit")
             else:
                 if len(node.children) < 1:
@@ -210,7 +211,7 @@ class Circuit:
                 if isinstance(node, SumNode):
                     if len(node.weights) != len(node.children):
                         raise CircuitStructureError(f"node {i}: weights/children length mismatch")
-                    if not self.extended and any(w < 0 for w in node.weights):
+                    if not self.extended and any(w.numerator < 0 for w in node.weights):
                         raise MonotonicityError(f"node {i}: negative weight in monotone circuit")
         if not (0 <= self.root < n_nodes):
             raise CircuitStructureError(f"root {self.root} out of range")

@@ -5,6 +5,8 @@ piped into each other; analysis subcommands print a report document
 embedding the config, the library version, and the exact outputs.
 Identical configs (including seeds) produce byte-identical reports.
 Exit codes: 0 success, 1 operational failure, 2 usage error.
+Each handler imports the modules it runs, so a subcommand loads only what
+it needs.
 """
 
 from __future__ import annotations
@@ -16,47 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .circuit import _checked, as_fraction, deserialize, format_rational, serialize
-from .errors import SpnError
-from .inference import (
-    DistributionHandle,
-    MarginalQuery,
-    marginalize,
-    normalize_weights,
-    partition_function,
-    sample,
-)
-from .machines import (
-    build_equal,
-    compile_fpssm,
-    count_ones_machine,
-    fpssm_from_json_dict,
-    majority_machine,
-    parity_machine,
-)
-from .polynomial import expand, is_set_multilinear
-from .rng import make_rng
-from .separation import (
-    circuit_evaluator,
-    decompose,
-    depth3_bound_report,
-    half_partition,
-)
-from .sptree import (
-    EdgeIndexing,
-    PartialAssignment,
-    constraint_fraction_experiment,
-    count_consistent_trees,
-    count_dichromatic_triangles,
-    iter_trees,
-)
-from .structure import (
-    analyze,
-    brute_force_validity,
-    cnf_to_extended_spn,
-    parse_dimacs,
-)
-from .errors import InstanceTooLargeError, TermExplosionError
+from .errors import InstanceTooLargeError, SpnError, TermExplosionError
 
 
 def _read_text(path: str) -> str:
@@ -77,6 +39,8 @@ def _write_text(path: str | None, text: str):
 
 
 def _load_circuit(path: str):
+    from .circuit import deserialize
+
     return deserialize(_read_text(path))
 
 
@@ -99,15 +63,9 @@ def _emit_report(args, command: str, payload: dict):
         print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _parse_partition(spec: str, n: int):
+    from .separation import half_partition
+
     if spec == "first-half":
         return half_partition(n)
     if spec.startswith("A="):
@@ -125,6 +83,8 @@ def _count(text: str) -> int:
 
 
 def _parse_assignment(spec: str) -> dict:
+    from .circuit import as_fraction
+
     out = {}
     for item in spec.split(","):
         if not item:
@@ -141,6 +101,9 @@ def _parse_assignment(spec: str) -> dict:
 
 
 def cmd_check(args):
+    from .polynomial import expand, is_set_multilinear
+    from .structure import analyze, brute_force_validity
+
     circuit = _load_circuit(args.circuit)
     if circuit.extended:
         # Structural D&C analysis is defined for monotone circuits only;
@@ -179,6 +142,8 @@ def cmd_check(args):
 
 
 def cmd_eval(args):
+    from .circuit import format_rational
+
     circuit = _load_circuit(args.circuit)
     value = circuit.evaluate(_parse_assignment(args.assign))
     _emit_report(args, "eval", {"value": format_rational(value)})
@@ -186,6 +151,9 @@ def cmd_eval(args):
 
 
 def cmd_marginalize(args):
+    from .circuit import _checked, format_rational
+    from .inference import MarginalQuery, marginalize
+
     circuit = _load_circuit(args.circuit)
     doc = _checked(json.loads(_read_text(args.query)), dict, "query document")
     query = MarginalQuery.of(doc.get("integrate_over", {}), doc.get("fixed", {}))
@@ -195,6 +163,9 @@ def cmd_marginalize(args):
 
 
 def cmd_partition(args):
+    from .circuit import format_rational
+    from .inference import partition_function
+
     circuit = _load_circuit(args.circuit)
     z = partition_function(circuit, force=args.force)
     _emit_report(args, "partition", {"partition_function": format_rational(z)})
@@ -202,12 +173,19 @@ def cmd_partition(args):
 
 
 def cmd_normalize(args):
+    from .circuit import serialize
+    from .inference import normalize_weights
+
     circuit = _load_circuit(args.circuit)
     _write_text(args.output, serialize(normalize_weights(circuit), indent=2))
     return 0
 
 
 def cmd_sample(args):
+    from .circuit import format_rational
+    from .inference import DistributionHandle, sample
+    from .rng import make_rng
+
     circuit = _load_circuit(args.circuit)
     handle = DistributionHandle(circuit)
     rng = make_rng(args.seed)
@@ -221,26 +199,35 @@ def cmd_sample(args):
 
 
 def cmd_compile(args):
+    from .circuit import serialize
+    from .machines import compile_fpssm, fpssm_from_json_dict
+
     machine = fpssm_from_json_dict(json.loads(_read_text(args.machine)))
     _write_text(args.output, serialize(compile_fpssm(machine), indent=2))
     return 0
 
 
-BUILTINS = {
-    "parity": lambda n: compile_fpssm(parity_machine(n)),
-    "majority": lambda n: compile_fpssm(majority_machine(n)),
-    "count-ones": lambda n: compile_fpssm(count_ones_machine(n)),
-    "equal": build_equal,
-}
+BUILTINS = ("count-ones", "equal", "majority", "parity")  # sorted: argparse lists them in this order
 
 
 def cmd_builtin(args):
-    _write_text(args.output, serialize(BUILTINS[args.name](args.n), indent=2))
+    from .circuit import serialize
+    from .machines import build_equal, compile_fpssm, count_ones_machine, majority_machine, parity_machine
+
+    builders = {
+        "parity": lambda n: compile_fpssm(parity_machine(n)),
+        "majority": lambda n: compile_fpssm(majority_machine(n)),
+        "count-ones": lambda n: compile_fpssm(count_ones_machine(n)),
+        "equal": build_equal,
+    }
+    _write_text(args.output, serialize(builders[args.name](args.n), indent=2))
     return 0
 
 
 def cmd_rank(args):
     """`rank` and `depth3-report`: the latter adds the implied width floor."""
+    from .separation import circuit_evaluator, depth3_bound_report
+
     circuit = _load_circuit(args.circuit)
     n = len(circuit.variables)
     report = depth3_bound_report(circuit_evaluator(circuit), n, _parse_partition(args.partition, n))
@@ -252,6 +239,9 @@ def cmd_rank(args):
 
 
 def cmd_decompose(args):
+    from .circuit import format_rational
+    from .separation import decompose
+
     circuit = _load_circuit(args.circuit)
     decomp = decompose(circuit)
     doc = {
@@ -277,12 +267,17 @@ def cmd_decompose(args):
 
 
 def cmd_cnf2spn(args):
+    from .circuit import serialize
+    from .structure import cnf_to_extended_spn, parse_dimacs
+
     clauses, declared = parse_dimacs(_read_text(args.dimacs))
     _write_text(args.output, serialize(cnf_to_extended_spn(clauses, declared), indent=2))
     return 0
 
 
 def cmd_sptree_count(args):
+    from .sptree import PartialAssignment, count_consistent_trees
+
     values = dict.fromkeys(_parse_labels(args.present, "--present"), 1)
     absent = _parse_labels(args.absent, "--absent")
     both = sorted(set(values) & set(absent))
@@ -294,12 +289,15 @@ def cmd_sptree_count(args):
     _emit_report(
         args,
         "sptree-count",
-        {"count": count, "normalized": format_rational(Fraction(count, total)), "total_trees": total},
+        {"count": count, "normalized": str(Fraction(count, total)), "total_trees": total},
     )
     return 0
 
 
 def cmd_sptree_sample(args):
+    from .rng import make_rng
+    from .sptree import EdgeIndexing, iter_trees
+
     zeros = ["0"] * EdgeIndexing(args.m).n
     lines = []
     for tree in iter_trees(args.m, args.count, make_rng(args.seed)):
@@ -312,6 +310,8 @@ def cmd_sptree_sample(args):
 
 
 def cmd_sptree_triangles(args):
+    from .sptree import count_dichromatic_triangles
+
     coloring = json.loads(_read_text(args.coloring))
     dichromatic = count_dichromatic_triangles(args.m, coloring)
     total = math.comb(args.m, 3)
@@ -329,6 +329,8 @@ def cmd_sptree_triangles(args):
 
 
 def cmd_sptree_fraction(args):
+    from .sptree import constraint_fraction_experiment
+
     coloring = json.loads(_read_text(args.coloring))
     report = constraint_fraction_experiment(
         args.m, args.samples, args.seed, coloring=coloring, strategy=args.strategy
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
 
     p = add("builtin", cmd_builtin, help="emit a built-in circuit")
-    p.add_argument("name", choices=sorted(BUILTINS))
+    p.add_argument("name", choices=BUILTINS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
 

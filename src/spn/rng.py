@@ -7,10 +7,15 @@ pay for loading it.
 """
 
 from contextlib import contextmanager
+from numbers import Integral
 from operator import length_hint
+
+from .errors import SpnError
 
 
 def make_rng(seed: int) -> "numpy.random.Generator":
+    if not isinstance(seed, Integral) or seed < 0:
+        raise SpnError(f"seed must be a non-negative integer, got {seed!r}")
     import numpy as np
 
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

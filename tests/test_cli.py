@@ -56,7 +56,7 @@ def test_sptree_count_with_forced_edges():
 
 
 def test_sptree_count_counts_once(monkeypatch, capsys):
-    from spn import cli
+    from spn import cli, sptree
 
     calls = []
 
@@ -64,7 +64,7 @@ def test_sptree_count_counts_once(monkeypatch, capsys):
         calls.append(m)
         return count_consistent_trees(m, partial)
 
-    monkeypatch.setattr(cli, "count_consistent_trees", counting)
+    monkeypatch.setattr(sptree, "count_consistent_trees", counting)
     assert cli.main(["sptree", "count", "--m", "6", "--present", "0", "--absent", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert calls == [6]
@@ -473,3 +473,188 @@ def test_rank_does_not_import_numpy():
     )
     assert json.loads(proc.stdout)["rank"] == 64
     assert proc.stderr == "0 False\n"
+
+
+def _loaded_modules(args, stdin=None):
+    """Exit code of `spn <args>` run in a fresh interpreter, and the spn/numpy modules it loaded."""
+    code = (
+        "import sys\nfrom spn.cli import main\nrc = main(sys.argv[1:])\n"
+        "print(rc, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('spn')), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], input=stdin, capture_output=True, text=True, env=CHILD_ENV
+    )
+    rc, *modules = proc.stderr.split()
+    return int(rc), set(modules)
+
+
+@pytest.mark.parametrize(
+    "args, fixture, absent",
+    [
+        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "numpy"}),
+        (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "numpy"}),
+    ],
+)
+def test_subcommands_import_only_what_they_run(args, fixture, absent):
+    rc, modules = _loaded_modules(args, serialize(fixture()) if fixture else None)
+    assert rc == 0 and "spn.cli" in modules
+    assert not modules & absent
+
+
+def test_import_spn_loads_no_submodule():
+    code = "import sys, spn\nprint(*sorted(m for m in sys.modules if m.startswith('spn')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.stdout == "spn\n"
+
+
+# the names `spn` exported when its __init__ imported them eagerly
+PACKAGE_EXPORTS = """
+    Circuit CircuitBuilder CircuitMetrics ConstantNode DistributionHandle LeafFunction LeafNode
+    MarginalQuery ProductNode SparsePolynomial StructureReport SumNode VariableSpec analyze
+    brute_force_validity check_complete check_decomposable check_strong_validity
+    cnf_to_extended_spn complete_transform deserialize expand is_multilinear is_set_multilinear
+    marginalize multilinear_identity_test normalize_weights partition_function prune_degenerate
+    sample serialize validity_witness
+""".split()
+
+
+def test_package_names_resolve_on_first_use():
+    import spn
+
+    assert spn.__all__ == sorted(PACKAGE_EXPORTS)
+    for name in spn.__all__:
+        assert getattr(spn, name).__module__.startswith("spn.")
+        assert name in dir(spn)
+    namespace = {}
+    exec("from spn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PACKAGE_EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spn.no_such_name
+
+
+# SHA-256 of `spn [command] --help` at 80 columns (Python 3.11 argparse),
+# recorded when every module was imported at the top of the CLI
+HELP_DIGESTS = {
+    "": "77431f60afd1d56b2caa43de941ed2bd354e420a107d7bfdf0446527cd4e31ff",
+    "check": "11dbf9fb6835481d4f15379e54db88cf8418c402ab3854f8c08e0b2ad44a4e2c",
+    "eval": "ab670a43df531ad944ff4f029a275505a37c5b38f91a05d90a553c3f3896bd25",
+    "marginalize": "806c06e00e2667963f4e24fb36db83432ab7f624291537b12d27600277a70090",
+    "partition": "a98b54b58504f0951526a4df8140706738853b82423cf32492ef42a1435a886c",
+    "normalize": "f51189ffe812637619f4449662a6089ce3d7baf9fe3046f7bc01506cdcf256b0",
+    "sample": "b5c47b6ecb4634fc57e37e149b85bec7eed9cc4a85897fcb78d2787945468696",
+    "compile": "7be847fc2f9fcb3e587df434280770926d6f5c9fc77e98d190cf5c8db08a5999",
+    "builtin": "f063ccdf310ba742af76b4b4db84af45d21cdcc651d8c28cb0e2a6c33af31489",
+    "rank": "76436489086870921cce461d5a0dfcc5e9c7c636a2b5bdca9a1c9f53e96256a1",
+    "depth3-report": "bfab8c5158ef18d96e0e1a9878793cec5c5c88c802d8d0e026aa961d34033a58",
+    "decompose": "fbd8df275a1624ae1aa6f93aff77da53760722a85b77cd05c0d3d128ddff52a3",
+    "cnf2spn": "d94fd373cec2764c4256a808b7aecda95a2096f501d9e49ba09dbeb0027b34db",
+    "sptree": "29cfc60c3c0ce1a35578f486fb1cabcb0958f77c4252843c66c18a51899acd6b",
+    "sptree count": "f2d55e3c89eb573679cc09b471388da499bd3b38f8315a4cc62d29a34d1ed762",
+    "sptree sample": "ec9f23f1ab453c1e8801eb8912c091f9c2f43090da01c772a14a273773517029",
+    "sptree triangles": "f2acedee391c1526c0479d3fd3f60118b9ae82f02e1004a3a377ac91a1052242",
+    "sptree fraction-experiment": "d852bce1e676c7da097c018b4cf03a6656e6c91eab66dd5250301ac9d0ea0fd1",
+}
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    from spn import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_DIGESTS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
+def test_negative_seed_is_a_typed_error():
+    proc = run_cli(["sptree", "sample", "--m", "5", "--seed", "-1"])
+    assert proc.stdout == ""
+    assert_one_error_line(proc, "seed must be a non-negative integer, got -1")
+
+
+def _corpus_circuit():
+    """Three binary variables, every node kind and two shared leaves; decomposable and complete."""
+    b = CircuitBuilder()
+    x, y, z = (b.variable([0, 1]) for _ in range(3))
+    leaves = [
+        b.leaf(b.leaf_function(v, table))
+        for v, table in ((x, {0: 1, 1: 2}), (y, {0: 1, 1: "1/2"}), (z, {0: 2, 1: 1}), (x, {0: 3, 1: 1}))
+    ]
+    left = b.product([leaves[0], leaves[1], leaves[2], b.constant("1/2")])
+    right = b.product([leaves[3], leaves[1], leaves[2]])
+    return b.build(b.sum([(left, "1/3"), (right, "2/3")]))
+
+
+CORPUS_COMMANDS = [
+    ["check"],
+    ["eval", "--assign", "0=1,1=0,2=1"],
+    ["partition"],
+    ["normalize"],
+    ["rank"],
+    ["decompose"],
+]
+WRONG_VALUES = ["x", 1.5, None, True, {"a": 1}]
+
+
+def _malformed_corpus():
+    """(where, document, commands) with one field of a variable, leaf function or node
+    deleted or given a wrong-typed value; deletions run through every command."""
+    base = json.loads(serialize(_corpus_circuit()))
+    k = 0
+    for section in ("variables", "leaf_functions", "nodes"):
+        for i, item in enumerate(base[section]):
+            for key, value in item.items():
+                if key == "name":  # optional
+                    continue
+                doc = json.loads(json.dumps(base))
+                del doc[section][i][key]
+                yield f"{section}[{i}].{key} deleted", doc, CORPUS_COMMANDS
+                slots = [(key, None)] + ([(key, 0)] if isinstance(value, list) else [])
+                for slot, index in slots:
+                    for wrong in WRONG_VALUES:
+                        doc = json.loads(json.dumps(base))
+                        if index is None:
+                            doc[section][i][slot] = wrong
+                        else:
+                            doc[section][i][slot][index] = wrong
+                        k += 1
+                        where = f"{section}[{i}].{slot}" + ("" if index is None else f"[{index}]")
+                        yield f"{where} = {wrong!r}", doc, [CORPUS_COMMANDS[k % len(CORPUS_COMMANDS)]]
+
+
+def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
+    from spn import cli
+
+    def run(args):
+        rc = cli.main(args)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    path, coloring = tmp_path / "circuit.json", tmp_path / "coloring.json"
+    path.write_text(serialize(_corpus_circuit()))
+    for args in CORPUS_COMMANDS:
+        rc, _, err = run([*args, str(path)])
+        assert (rc, err) == (0, ""), args
+    normalized = tmp_path / "normalized.json"
+    cli.main(["normalize", str(path), "-o", str(normalized)])
+    coloring.write_text(json.dumps(["r", "b"] * 3))
+    cases = [
+        (["sample", "--seed", "-1", str(normalized)], "seed must be a non-negative integer, got -1"),
+        (["sptree", "sample", "--m", "5", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (
+            ["sptree", "fraction-experiment", "--m", "4", "--coloring", str(coloring), "--seed", "-1"],
+            "seed must be a non-negative integer, got -1",
+        ),
+    ]
+    for where, doc, commands in _malformed_corpus():
+        text = json.dumps(doc)
+        path = tmp_path / f"case{len(cases)}.json"
+        path.write_text(text)
+        cases += [([*args, str(path)], where) for args in commands]
+    assert len(cases) > 400
+    for args, label in cases:
+        rc, out, err = run(args)
+        lines = err.splitlines()
+        assert rc in (1, 2) and out == "", (label, args)
+        assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err)

@@ -137,6 +137,17 @@ def test_sampler_determinism():
     assert sample_tree(5, 99).edges == sample_tree(5, 99).edges
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(SpnError) as exc:
+        make_rng(seed)
+    assert str(exc.value) == message
+    with pytest.raises(SpnError, match="seed must be"):
+        sample_tree(5, seed)
+    assert sample_tree(5, 0).edges == sample_tree(5, make_rng(0)).edges
+
+
 @pytest.mark.parametrize("m", [2, 3, 6, 20, 60])
 @pytest.mark.parametrize("count", [1, 4, 7, 50])
 def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count, monkeypatch):
