@@ -12,6 +12,7 @@ it needs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,9 @@ def _parse_labels(spec: str | None, what: str) -> list[int]:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spn",
         description="Exact sum-product-network toolkit: analysis, inference, compilers, bounds.",

@@ -12,7 +12,8 @@ constraint-obedience fraction experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from numbers import Integral
@@ -26,11 +27,22 @@ BLUE = "b"
 _BATCH = 1 << 12  # trees iter_trees holds at once
 
 
-@dataclass(frozen=True)
-class EdgeIndexing:
+class _Record(tuple):
+    """Base of the immutable records below: equal only to a record of the same class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+
+class EdgeIndexing(_Record, namedtuple("EdgeIndexing", "m")):
     """Canonical labeling of the C(m,2) edges of K_m, lexicographic by (u, v)."""
 
-    m: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -55,22 +67,16 @@ class EdgeIndexing:
         return (u, label - self.label_of(u, u + 1) + u + 1)
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Fixed 0/1 values for a subset of edge labels."""
+class PartialAssignment(_Record, namedtuple("PartialAssignment", "values")):
+    """Fixed 0/1 values for a subset of edge labels (a dict label -> value)."""
 
-    values: dict[int, int]
-
-    def present(self) -> list[int]:
-        return sorted(l for l, v in self.values.items() if v == 1)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeLabeledGraph:
-    """A subgraph of K_m as a set of edge labels."""
+class EdgeLabeledGraph(_Record, namedtuple("EdgeLabeledGraph", "m edges")):
+    """A subgraph of K_m as a frozenset of edge labels."""
 
-    m: int
-    edges: frozenset[int]
+    __slots__ = ()
 
     def pairs(self) -> list[tuple[int, int]]:
         idx = EdgeIndexing(self.m)
@@ -114,38 +120,74 @@ def density(m: int, x) -> int:
 def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     """Number of spanning trees of K_m consistent with the partial assignment.
 
-    Forced-present edges form a forest H (a cycle gives zero); contracting
-    its components and keeping only free edges between distinct components
-    yields a multigraph whose spanning trees biject with the consistent
-    trees, counted by one cofactor of the generalized Laplacian.
+    Forced-present edges form a forest (a cycle gives zero); contracting
+    its components, of sizes s, leaves a multigraph of free edges whose
+    tau spanning trees biject with the consistent trees.  Its Laplacian is
+    L_free = m diag(s) - s s^T - L_absent, with L_absent the Laplacian of
+    the absent edges between distinct components.  As adj(L_free) is
+    tau 11^T, the matrix determinant lemma gives
+    det(m diag(s) - L_absent) = m^2 tau, a matrix built from the absent
+    labels alone, in which a component no absent edge leaves is a lone
+    diagonal entry m s_a, factored out.  Once absent edges make up a third
+    of the edges between components, a minor of L_free is used instead:
+    it is one row smaller, and the other matrix fills in as it is
+    eliminated.
     """
     if m < 2:
         raise SpnError("need at least two vertices")
-    idx = EdgeIndexing(m)
+    n = m * (m - 1) // 2
+    absent, present = [], []
     for label, value in partial.values.items():
-        if not 0 <= label < idx.n:
+        if not isinstance(label, (int, Integral)):  # int first: the abstract check is slow
+            raise SpnError(f"edge label {label!r} is not an integer")
+        if not 0 <= label < n:
             raise SpnError(f"edge label {label} out of range for K_{m}")
         if value not in (0, 1):
             raise SpnError(f"edge {label} must be fixed to 0 or 1, got {value!r}")
+        (present if value == 1 else absent).append(label)
+    first = [u * (2 * m - u - 1) // 2 for u in range(m)]  # the label of edge (u, u + 1)
+
+    def ends(label):
+        u = bisect_right(first, label) - 1
+        return u, label - first[u] + u + 1
+
     uf = _UnionFind(m)
-    for label in partial.present():
-        u, v = idx.pair_of(label)
-        if not uf.union(u, v):
+    for label in present:
+        if not uf.union(*ends(label)):
             return 0
     index: dict[int, int] = {}
     comp = [index.setdefault(uf.find(v), len(index)) for v in range(m)]
     k = len(index)
-    if k == 1:
-        return 1
-    lap = [[0] * k for _ in range(k)]
-    for label, (u, v) in enumerate(combinations(range(m), 2)):
-        cu, cv = comp[u], comp[v]
-        if cu != cv and label not in partial.values:
-            lap[cu][cu] += 1
-            lap[cv][cv] += 1
-            lap[cu][cv] -= 1
-            lap[cv][cu] -= 1
-    return det_symmetric([row[1:] for row in lap[1:]])
+    size = list(Counter(comp).values())  # components are numbered in order of first appearance
+    # absent edges between two components, by (component, component)
+    joined = Counter((comp[u], comp[v]) for u, v in map(ends, absent))
+    cut = {pair: w for pair, w in joined.items() if pair[0] != pair[1]}
+    # absent edges are a third or more of the (m^2 - sum s_a^2) / 2 edges between components
+    free_minor = 6 * sum(cut.values()) >= m * m - sum(size_a * size_a for size_a in size)
+    if free_minor:  # L_free = m diag(s) - s s^T - L_absent
+        pos = range(k)
+        mat = [[-size_a * size_b for size_b in size] for size_a in size]
+        for a, size_a in enumerate(size):
+            mat[a][a] = size_a * (m - size_a)
+    else:  # m diag(s) - L_absent on the components an absent edge leaves
+        pos = {c: i for i, c in enumerate({c for pair in cut for c in pair})}
+        mat = [[0] * len(pos) for _ in pos]
+        for c, i in pos.items():
+            mat[i][i] = m * size[c]
+    for (a, b), w in cut.items():
+        i, j = pos[a], pos[b]
+        mat[i][j] += w
+        mat[j][i] += w
+        mat[i][i] -= w
+        mat[j][j] -= w
+    if free_minor:
+        return det_symmetric([row[1:] for row in mat[1:]])
+    # a component no absent edge leaves is a lone diagonal entry m s_a
+    det = det_symmetric(mat) * math.prod(m * size[c] for c in range(k) if c not in pos)
+    count, rest = divmod(det, m * m)
+    if rest:
+        raise SpnError(f"det(m diag(s) - L_absent) = {det} is not a multiple of m^2 = {m * m}")
+    return count
 
 
 def marginal(m: int, partial: PartialAssignment, normalized: bool = False):
@@ -284,11 +326,18 @@ def triangles_within_fisher(triangle_count: int, e: int) -> bool:
 # -- constraint dichotomy and the fraction experiment --------------------------
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
-    holds_pair_branch: bool  # zero whenever both same-colored edges are present
-    holds_single_branch: bool  # zero whenever the odd-colored edge is present
-    counterexample: tuple | None  # (x_with_pair, x_with_single) if neither holds
+_DichotomyFields = namedtuple("DichotomyResult", "holds_pair_branch holds_single_branch counterexample")
+
+
+class DichotomyResult(_Record, _DichotomyFields):
+    """Outcome of `dichotomy_check`.
+
+    holds_pair_branch: zero whenever both same-colored edges are present.
+    holds_single_branch: zero whenever the odd-colored edge is present.
+    counterexample: (x_with_pair, x_with_single) if neither holds, else None.
+    """
+
+    __slots__ = ()
 
 
 def dichotomy_check(m, g_table, h_table, coloring, triangle) -> DichotomyResult:

@@ -71,6 +71,45 @@ def test_sptree_count_counts_once(monkeypatch, capsys):
     assert Fraction(report["normalized"]) == Fraction(report["count"], 6**4)
 
 
+# SHA-256 of `spn sptree count` reports, recorded when every count eliminated
+# the dense Laplacian minor built from all C(m, 2) pairs
+SPTREE_COUNT_DIGESTS = [
+    (["--m", "60"], "27b5a857f500bebbce2c81a94b7486a002514ccf8b8b27a8d8f91e2890685204"),
+    (
+        ["--m", "12", "--present", "0,13,40", "--absent", "1,2,3,20,65"],
+        "e90607ca115e687594b51bffeb2e45862ee072fda894cf02489e9fbe7d85e05f",
+    ),
+    (
+        ["--m", "60", "--present", "5,100,1000", "--absent", "7,8,9,500,1700,1769", "--format", "table"],
+        "c5129dd33c9ca5776cc80a8608e52ac76c14a0c25825f6d9489d83b10f16bfdb",
+    ),
+    (
+        ["--m", "9", "--present", "0", "--absent", "2,3,4,5,6,10,11,12,13,15,16,17,18,20,21,23,26,29,30,31,32,35"],
+        "d54229107fcd0c801fb098d5820bcd0f542c92e4d7db2b589eb9e33b94cc0c50",
+    ),
+]
+
+
+def test_sptree_count_reports_are_pinned(capsys):
+    from spn import cli
+
+    for args, digest in SPTREE_COUNT_DIGESTS:
+        assert cli.main(["sptree", "count", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from spn import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["sptree", "count", "--m", "4", "--present", "0", "--absent", "1", "--format", "table"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["sptree", "count", "--m", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == {"command": "sptree", "m": 4, "subcommand": "count"}
+    assert report["count"] == 16 and "count = 5" in first
+
+
 def test_check_on_incomplete_fixture():
     text = serialize(incomplete_valid_fixture())
     proc = run_cli(["check"], stdin=text)
@@ -476,10 +515,11 @@ def test_rank_does_not_import_numpy():
 
 
 def _loaded_modules(args, stdin=None):
-    """Exit code of `spn <args>` run in a fresh interpreter, and the spn/numpy modules it loaded."""
+    """Exit code of `spn <args>` run in a fresh interpreter, and the spn, numpy and dataclasses modules it loaded."""
     code = (
         "import sys\nfrom spn.cli import main\nrc = main(sys.argv[1:])\n"
-        "print(rc, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('spn')), file=sys.stderr)"
+        "print(rc, *sorted(m for m in sys.modules if m in ('numpy', 'dataclasses') or m.startswith('spn')), "
+        "file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], input=stdin, capture_output=True, text=True, env=CHILD_ENV
@@ -491,7 +531,7 @@ def _loaded_modules(args, stdin=None):
 @pytest.mark.parametrize(
     "args, fixture, absent",
     [
-        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "numpy"}),
+        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "numpy", "dataclasses"}),
         (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "numpy"}),
     ],
 )

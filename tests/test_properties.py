@@ -408,6 +408,52 @@ def test_det_symmetric_of_gram_matrices(seed):
     assert det_symmetric(gram) == reference_det(gram)
 
 
+def sparse_psd_matrix(rng, k):
+    """A Laplacian of a sparse random multigraph plus a non-negative diagonal: PSD, often singular."""
+    a = [[0] * k for _ in range(k)]
+    share = rng.random() * 0.6
+    for u, v in combinations(range(k), 2):
+        if rng.random() < share:
+            w = int(rng.integers(1, 4))
+            a[u][v] -= w
+            a[v][u] -= w
+            a[u][u] += w
+            a[v][v] += w
+    for u in range(k):
+        a[u][u] += int(rng.choice([0, 0, 1, 7]))
+    return a
+
+
+@PROFILE
+@given(seeds)
+def test_det_symmetric_is_unchanged_by_a_symmetric_permutation(seed):
+    rng = make_rng(seed)
+    k = int(rng.integers(1, 13))
+    a = sparse_psd_matrix(rng, k)
+    perm = [int(i) for i in rng.permutation(k)]
+    permuted = [[a[i][j] for j in perm] for i in perm]
+    assert det_symmetric(permuted) == det_symmetric(a) == reference_det(a)
+
+
+@PROFILE
+@given(seeds)
+def test_det_symmetric_of_diagonal_and_block_diagonal_matrices(seed):
+    rng = make_rng(seed)
+    diagonal = [int(x) for x in rng.integers(0, 5, size=int(rng.integers(1, 9)))]
+    square = [[x if i == j else 0 for j in range(len(diagonal))] for i, x in enumerate(diagonal)]
+    assert det_symmetric(square) == reference_det(square) == math.prod(diagonal)
+    blocks = [sparse_psd_matrix(rng, int(rng.integers(1, 5))) for _ in range(int(rng.integers(2, 5)))]
+    k = sum(map(len, blocks))
+    matrix = [[0] * k for _ in range(k)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            matrix[start + i][start : start + len(block)] = row
+        start += len(block)
+    det = det_symmetric(matrix)
+    assert det == reference_det(matrix) == math.prod(map(reference_det, blocks))
+
+
 @pytest.mark.parametrize("matrix", [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 2]]])
 def test_det_symmetric_rejects_non_symmetric_and_indefinite_zero_pivots(matrix):
     with pytest.raises(SpnError):
@@ -445,6 +491,55 @@ def test_tree_count_matches_enumeration(seed):
     m = int(rng.integers(2, 6))
     values = random_partial(rng, EdgeIndexing(m).n, 0.25, 0.3)
     assert count_consistent_trees(m, PartialAssignment(values)) == brute_count_consistent(m, values)
+
+
+def free_edge_minor(m, values):
+    """Reduced Laplacian of the free edges between the components of the present
+    edges, counted pair by pair over K_m; None if the present edges close a cycle."""
+    root = list(range(m))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    pairs = list(combinations(range(m), 2))
+    for label, value in values.items():
+        if value:
+            a, b = find(pairs[label][0]), find(pairs[label][1])
+            if a == b:
+                return None
+            root[a] = b
+    index = {r: i for i, r in enumerate(sorted({find(v) for v in range(m)}))}
+    lap = [[0] * len(index) for _ in index]
+    for label, (u, v) in enumerate(pairs):
+        a, b = index[find(u)], index[find(v)]
+        if a != b and label not in values:
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+            lap[a][a] += 1
+            lap[b][b] += 1
+    return [row[1:] for row in lap[1:]]
+
+
+@PROFILE
+@given(seeds)
+def test_tree_count_matches_a_free_edge_minor(seed):
+    # absent shares on both sides of the third at which the count switches
+    # matrices; present shares from forests to cycles; a cut closed off at times
+    rng = make_rng(seed)
+    m = int(rng.integers(2, 21))
+    n = EdgeIndexing(m).n
+    p_present = float(rng.choice([0.0, 0.02, 0.08, 0.3]))
+    values = random_partial(rng, n, p_present, rng.random() * 0.95 * (1 - p_present))
+    if rng.random() < 0.2:
+        side = {int(v) for v in rng.choice(m, size=int(rng.integers(1, m)), replace=False)}
+        for label, (u, v) in enumerate(combinations(range(m), 2)):
+            if (u in side) != (v in side):
+                values[label] = 0
+    minor = free_edge_minor(m, values)
+    expected = 0 if minor is None else reference_det(minor)
+    assert count_consistent_trees(m, PartialAssignment(values)) == expected
 
 
 @settings(PROFILE, max_examples=50)

@@ -9,9 +9,12 @@ from scipy.stats import chisquare
 
 from spn import sptree
 from spn.errors import SpnError
+from spn.linalg import det_symmetric
 from spn.rng import make_rng
 from spn.sptree import (
+    DichotomyResult,
     EdgeIndexing,
+    EdgeLabeledGraph,
     PartialAssignment,
     constraint_fraction_experiment,
     count_consistent_trees,
@@ -85,6 +88,59 @@ def test_forced_cycle_gives_zero():
 def test_count_rejects_bad_labels_and_values(values):
     with pytest.raises(SpnError):
         count_consistent_trees(4, PartialAssignment(values))
+
+
+@pytest.mark.parametrize("values, shown", [({1.0: 1}, "1.0"), ({"1": 0}, "'1'"), ({1.0: 0}, "1.0"), ({0: 1, None: 0}, "None")])
+def test_count_rejects_labels_that_are_not_integers(values, shown):
+    with pytest.raises(SpnError, match=f"edge label {shown} is not an integer"):
+        count_consistent_trees(4, PartialAssignment(values))
+
+
+def test_cayley_count_at_m300():
+    m = 300
+    assert count_consistent_trees(m, PartialAssignment({})) == m ** (m - 2)
+    # trees avoiding one edge: m^(m-2) less the 2 m^(m-3) that hold it
+    assert count_consistent_trees(m, PartialAssignment({7: 0})) == (m - 2) * m ** (m - 3)
+
+
+@pytest.mark.parametrize(
+    "absent, matrix_rows", [([(0, 3), (3, 4), (4, 5)], 4), ([(3, 4), (3, 5), (4, 5), (1, 3)], 3)]
+)
+def test_count_picks_the_matrix_by_the_share_of_absent_edges(absent, matrix_rows, monkeypatch):
+    # K_6 with 0-1 and 0-2 present: components {0, 1, 2}, 3, 4, 5 and 12 edges
+    # between them.  Three absent ones leave every component: the
+    # determinant-lemma matrix, one row per component.  Four are a third:
+    # the free-edge minor, one row fewer.
+    m = 6
+    idx = EdgeIndexing(m)
+    values = {idx.label_of(0, 1): 1, idx.label_of(0, 2): 1, **{idx.label_of(u, v): 0 for u, v in absent}}
+    seen = []
+    monkeypatch.setattr(sptree, "det_symmetric", lambda a: seen.append(len(a)) or det_symmetric(a))
+    count = count_consistent_trees(m, PartialAssignment(values))
+    assert seen == [matrix_rows]
+    assert count == brute_count_consistent(m, values) > 0
+
+
+def test_records_are_immutable_values():
+    records = [
+        EdgeIndexing(5),
+        PartialAssignment({0: 1}),
+        EdgeLabeledGraph(4, frozenset({0, 1, 2})),
+        DichotomyResult(True, False, None),
+    ]
+    assert EdgeIndexing(m=5) == records[0] and EdgeIndexing(6) != records[0]
+    assert EdgeLabeledGraph(m=4, edges=frozenset({0, 1, 2})) == records[2]
+    assert DichotomyResult(holds_pair_branch=True, holds_single_branch=False, counterexample=None) == records[3]
+    assert records[1] == PartialAssignment({0: 1}) and records[1] != PartialAssignment({0: 0})
+    assert repr(records[0]) == "EdgeIndexing(m=5)"
+    assert hash(records[2]) == hash(EdgeLabeledGraph(4, frozenset({0, 1, 2})))
+    for record in records:
+        assert record != tuple(record) and not record == tuple(record)
+        with pytest.raises(AttributeError):
+            record.m = 3
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert records[2].pairs() == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_marginals():
