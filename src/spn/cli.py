@@ -185,11 +185,11 @@ def cmd_normalize(args):
 def cmd_sample(args):
     from .circuit import format_rational
     from .inference import DistributionHandle, sample
-    from .rng import make_rng
+    from .rng import Philox
 
     circuit = _load_circuit(args.circuit)
     handle = DistributionHandle(circuit)
-    rng = make_rng(args.seed)
+    rng = Philox.from_seed(args.seed)
     variables = sorted(circuit.dependency_scope())
     lines = []
     for _ in range(args.count):
@@ -296,12 +296,12 @@ def cmd_sptree_count(args):
 
 
 def cmd_sptree_sample(args):
-    from .rng import make_rng
+    from .rng import Philox
     from .sptree import EdgeIndexing, iter_trees
 
     zeros = ["0"] * EdgeIndexing(args.m).n
     lines = []
-    for tree in iter_trees(args.m, args.count, make_rng(args.seed)):
+    for tree in iter_trees(args.m, args.count, Philox.from_seed(args.seed)):
         row = zeros.copy()
         for label in tree.edges:
             row[label] = "1"

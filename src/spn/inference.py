@@ -34,7 +34,6 @@ from .errors import (
     SpnError,
     ZeroPartitionError,
 )
-from .rng import make_rng
 from .structure import is_dc, rewrite
 
 
@@ -273,9 +272,15 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     from the table as a categorical distribution.  Each variable in the
     dependency-scope is assigned exactly once.  Every choice compares one
     rng.random() against the node's exact thresholds (see _thresholds).
+    `rng_or_seed` is a `Philox` stream, a numpy Generator, or a seed for
+    `Philox.from_seed`.
     """
     steps, scope = handle.sampling_plan()
-    rng = rng_or_seed if hasattr(rng_or_seed, "random") else make_rng(rng_or_seed)
+    rng = rng_or_seed
+    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.rng
+        from .rng import Philox
+
+        rng = Philox.from_seed(rng_or_seed)
     assignment: dict[int, Fraction] = {}
     stack = [handle.circuit.root]
     while stack:

@@ -15,16 +15,17 @@ import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from numbers import Integral
 
 from .errors import InstanceTooLargeError, SpnError
 from .linalg import det_symmetric
-from .rng import block_integers, make_rng
+from .rng import Philox, block_integers
 
 RED = "r"
 BLUE = "b"
 _BATCH = 1 << 12  # trees iter_trees holds at once
+_DRAWS = 1 << 12  # most values sample_trees draws at once
 
 
 class _Record(tuple):
@@ -60,11 +61,18 @@ class EdgeIndexing(_Record, namedtuple("EdgeIndexing", "m")):
         return u * (2 * self.m - u - 1) // 2 + (v - u - 1)
 
     def pair_of(self, label: int) -> tuple[int, int]:
-        if not (0 <= label < self.n):
+        m = self.m
+        n = m * (m - 1) // 2
+        if not (0 <= label < n):
             raise SpnError(f"edge label {label} out of range")
         # counted from the last edge, rows m-2, m-3, ... hold 1, 2, ... edges
-        u = self.m - 2 - (math.isqrt(8 * (self.n - 1 - label) + 1) - 1) // 2
-        return (u, label - self.label_of(u, u + 1) + u + 1)
+        u = m - 2 - (math.isqrt(8 * (n - 1 - label) + 1) - 1) // 2
+        return (u, label - u * (2 * m - u - 3) // 2 + 1)  # label - _row_offsets(m)[u]
+
+
+def _row_offsets(m: int) -> list[int]:
+    """row[u] + v is the label of edge (u, v) of K_m, u < v."""
+    return [u * (2 * m - u - 3) // 2 - 1 for u in range(m)]
 
 
 class PartialAssignment(_Record, namedtuple("PartialAssignment", "values")):
@@ -109,11 +117,9 @@ def density(m: int, x) -> int:
     if sum(1 for v in x if v) != m - 1:
         return 0
     uf = _UnionFind(m)
-    for label, v in enumerate(x):
-        if v:
-            u, w = idx.pair_of(label)
-            if not uf.union(u, w):
-                return 0
+    for label in compress(range(idx.n), x):
+        if not uf.union(*idx.pair_of(label)):
+            return 0
     return 1
 
 
@@ -204,17 +210,18 @@ def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
     Each step draws the next vertex uniformly from all m vertices (the
     current vertex may repeat); the edge to a first-visited vertex joins
     the tree; a walk stops once every vertex has been visited, and the
-    next tree's walk starts at the next draw.  The draws come in blocks,
-    yet the trees and the state `rng` is left in are those of one scalar
-    `rng.integers(m)` call per step.
+    next tree's walk starts at the next draw.  `rng` is a `Philox` stream
+    or a numpy Generator.  The draws come in blocks, yet the trees and the
+    state `rng` is left in are those of one scalar `rng.integers(m)` call
+    per step.
     """
     if m < 2:
         raise SpnError("need at least two vertices")
     if count < 0:
         raise SpnError("sample count must be non-negative")
-    idx = EdgeIndexing(m)
-    # a walk takes 1 + m H_{m-1} < m (ln m + 1) draws on average; the cap bounds a block's memory
-    block = min(int(count * m * (math.log(m) + 1)) + 64, 1 << 16)
+    row = _row_offsets(m)
+    # a walk takes 1 + m H_{m-1} < m (ln m + 1) draws on average
+    block = min(int(count * m * (math.log(m) + 1)) + 64, _DRAWS)
     trees = []
     with block_integers(rng, m, block) as draws:
         for _ in range(count):
@@ -224,7 +231,7 @@ def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
             for nxt in draws:
                 if nxt not in visited:
                     visited.add(nxt)
-                    edges.append(idx.label_of(current, nxt))
+                    edges.append(row[current] + nxt if current < nxt else row[nxt] + current)
                     if len(visited) == m:
                         break
                 current = nxt
@@ -245,8 +252,8 @@ def iter_trees(m: int, count: int, rng):
 
 
 def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
-    """One uniform spanning tree of K_m (see `sample_trees`)."""
-    rng = rng_or_seed if hasattr(rng_or_seed, "integers") else make_rng(rng_or_seed)
+    """One uniform spanning tree of K_m (see `sample_trees`); a seed draws from `Philox.from_seed(seed)`."""
+    rng = rng_or_seed if hasattr(rng_or_seed, "integers") else Philox.from_seed(rng_or_seed)
     return sample_trees(m, 1, rng)[0]
 
 
@@ -267,9 +274,9 @@ def check_coloring(m: int, coloring) -> tuple[str, ...]:
 
 def iter_triangles(m: int):
     """All vertex triples with their three edge labels."""
-    idx = EdgeIndexing(m)
+    row = _row_offsets(m)
     for a, b, c in combinations(range(m), 3):
-        yield (a, b, c), (idx.label_of(a, b), idx.label_of(a, c), idx.label_of(b, c))
+        yield (a, b, c), (row[a] + b, row[a] + c, row[b] + c)
 
 
 def count_dichromatic_triangles(m: int, coloring) -> int:
@@ -433,7 +440,7 @@ def _constraint_index(constraints, n=math.inf) -> dict[int, list]:
         if len(labels) != _ARITY[form]:
             raise SpnError(f"constraint {tuple(con)!r} needs {_ARITY[form]} edge label(s)")
         for label in labels:
-            if not (isinstance(label, Integral) and 0 <= label < n):
+            if not (isinstance(label, (int, Integral)) and 0 <= label < n):  # int first: the abstract check is slow
                 raise SpnError(f"edge label {label!r} out of range")
         index.setdefault(labels[0], []).append(labels[1] if form == "not_both" else None)
     return index
@@ -470,7 +477,7 @@ def constraint_fraction_experiment(
             raise SpnError("need a coloring or an explicit constraint list")
         constraints = derive_constraints(m, coloring, strategy)
     index = _constraint_index(constraints, EdgeIndexing(m).n)
-    obeyed = sum(_obeys(tree.edges, index) for tree in iter_trees(m, samples, make_rng(seed)))
+    obeyed = sum(_obeys(tree.edges, index) for tree in iter_trees(m, samples, Philox.from_seed(seed)))
     c = len(constraints)
     bound = (1 - c / m**3) ** (c / (6 * m**2)) if c else 1.0
     return {

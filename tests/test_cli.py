@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from spn.circuit import CircuitBuilder, deserialize, serialize
+from spn.circuit import Circuit, CircuitBuilder, deserialize, serialize
+from spn.inference import normalize_weights
 from spn.machines import build_equal, compile_fpssm, majority_machine, parity_machine
 from spn.rng import make_rng
 from spn.sptree import count_consistent_trees
@@ -528,15 +529,32 @@ def _loaded_modules(args, stdin=None):
     return int(rc), set(modules)
 
 
+def normalized_equal():
+    return normalize_weights(build_equal(4))
+
+
+def coloring_of_k6():
+    return json.dumps(["r" if label % 3 else "b" for label in range(15)])
+
+
 @pytest.mark.parametrize(
     "args, fixture, absent",
     [
         (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "numpy", "dataclasses"}),
         (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "numpy"}),
+        # the seeded commands draw from the pure-Python Philox stream
+        (["sample", "-n", "3", "--seed", "1"], normalized_equal, {"spn.sptree", "numpy"}),
+        (["sptree", "sample", "--m", "6", "-n", "3", "--seed", "1"], None, {"spn.circuit", "numpy"}),
+        (
+            ["sptree", "fraction-experiment", "--m", "6", "--seed", "1", "--coloring", "-"],
+            coloring_of_k6,
+            {"spn.circuit", "numpy"},
+        ),
     ],
 )
 def test_subcommands_import_only_what_they_run(args, fixture, absent):
-    rc, modules = _loaded_modules(args, serialize(fixture()) if fixture else None)
+    stdin = fixture() if fixture else None
+    rc, modules = _loaded_modules(args, serialize(stdin) if isinstance(stdin, Circuit) else stdin)
     assert rc == 0 and "spn.cli" in modules
     assert not modules & absent
 
