@@ -185,7 +185,7 @@ def cmd_normalize(args):
 def cmd_sample(args):
     from .circuit import format_rational
     from .inference import DistributionHandle, sample
-    from .rng import Philox
+    from .philox import Philox
 
     circuit = _load_circuit(args.circuit)
     handle = DistributionHandle(circuit)
@@ -296,12 +296,11 @@ def cmd_sptree_count(args):
 
 
 def cmd_sptree_sample(args):
-    from .rng import Philox
     from .sptree import EdgeIndexing, iter_trees
 
     zeros = ["0"] * EdgeIndexing(args.m).n
     lines = []
-    for tree in iter_trees(args.m, args.count, Philox.from_seed(args.seed)):
+    for tree in iter_trees(args.m, args.count, args.seed):
         row = zeros.copy()
         for label in tree.edges:
             row[label] = "1"

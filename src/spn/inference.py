@@ -272,13 +272,13 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     from the table as a categorical distribution.  Each variable in the
     dependency-scope is assigned exactly once.  Every choice compares one
     rng.random() against the node's exact thresholds (see _thresholds).
-    `rng_or_seed` is a `Philox` stream, a numpy Generator, or a seed for
-    `Philox.from_seed`.
+    `rng_or_seed` is a `spn.philox.Philox` stream, a numpy Generator, or a
+    seed for `Philox.from_seed`.
     """
     steps, scope = handle.sampling_plan()
     rng = rng_or_seed
-    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.rng
-        from .rng import Philox
+    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.philox
+        from .philox import Philox
 
         rng = Philox.from_seed(rng_or_seed)
     assignment: dict[int, Fraction] = {}

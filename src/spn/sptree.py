@@ -20,7 +20,7 @@ from numbers import Integral
 
 from .errors import InstanceTooLargeError, SpnError
 from .linalg import det_symmetric
-from .rng import Philox, block_integers
+from .rng import block_integers, seeded_stream
 
 RED = "r"
 BLUE = "b"
@@ -57,8 +57,7 @@ class EdgeIndexing(_Record, namedtuple("EdgeIndexing", "m")):
             u, v = v, u
         if not (0 <= u < v < self.m):
             raise SpnError(f"not an edge of K_{self.m}: ({u}, {v})")
-        # label = edges before row u plus offset within row u
-        return u * (2 * self.m - u - 1) // 2 + (v - u - 1)
+        return _row_offset(self.m, u) + v
 
     def pair_of(self, label: int) -> tuple[int, int]:
         m = self.m
@@ -67,12 +66,17 @@ class EdgeIndexing(_Record, namedtuple("EdgeIndexing", "m")):
             raise SpnError(f"edge label {label} out of range")
         # counted from the last edge, rows m-2, m-3, ... hold 1, 2, ... edges
         u = m - 2 - (math.isqrt(8 * (n - 1 - label) + 1) - 1) // 2
-        return (u, label - u * (2 * m - u - 3) // 2 + 1)  # label - _row_offsets(m)[u]
+        return u, label - _row_offset(m, u)
+
+
+def _row_offset(m: int, u: int) -> int:
+    """The label of edge (u, v) of K_m, u < v, less v: the edges of rows 0..u-1, less u + 1."""
+    return u * (2 * m - u - 3) // 2 - 1
 
 
 def _row_offsets(m: int) -> list[int]:
     """row[u] + v is the label of edge (u, v) of K_m, u < v."""
-    return [u * (2 * m - u - 3) // 2 - 1 for u in range(m)]
+    return [_row_offset(m, u) for u in range(m)]
 
 
 class PartialAssignment(_Record, namedtuple("PartialAssignment", "values")):
@@ -151,11 +155,12 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
         if value not in (0, 1):
             raise SpnError(f"edge {label} must be fixed to 0 or 1, got {value!r}")
         (present if value == 1 else absent).append(label)
-    first = [u * (2 * m - u - 1) // 2 for u in range(m)]  # the label of edge (u, u + 1)
+    row = _row_offsets(m)
+    first = [offset + u + 1 for u, offset in enumerate(row)]  # the label of edge (u, u + 1)
 
     def ends(label):
         u = bisect_right(first, label) - 1
-        return u, label - first[u] + u + 1
+        return u, label - row[u]
 
     uf = _UnionFind(m)
     for label in present:
@@ -204,24 +209,28 @@ def marginal(m: int, partial: PartialAssignment, normalized: bool = False):
     return count
 
 
+def _walk_draws(m: int, count: int) -> float:
+    """A bound on the mean draws of `count` walks on K_m: each takes 1 + m H_{m-1} < m (ln m + 1)."""
+    return count * m * (math.log(m) + 1) if m > 1 else 0
+
+
 def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
     """`count` uniform spanning trees of K_m by the re-sampling first-entry walk.
 
     Each step draws the next vertex uniformly from all m vertices (the
     current vertex may repeat); the edge to a first-visited vertex joins
     the tree; a walk stops once every vertex has been visited, and the
-    next tree's walk starts at the next draw.  `rng` is a `Philox` stream
-    or a numpy Generator.  The draws come in blocks, yet the trees and the
-    state `rng` is left in are those of one scalar `rng.integers(m)` call
-    per step.
+    next tree's walk starts at the next draw.  `rng` is a
+    `spn.philox.Philox` stream or a numpy Generator.  The draws come in
+    blocks, yet the trees and the state `rng` is left in are those of one
+    scalar `rng.integers(m)` call per step.
     """
     if m < 2:
         raise SpnError("need at least two vertices")
     if count < 0:
         raise SpnError("sample count must be non-negative")
     row = _row_offsets(m)
-    # a walk takes 1 + m H_{m-1} < m (ln m + 1) draws on average
-    block = min(int(count * m * (math.log(m) + 1)) + 64, _DRAWS)
+    block = min(int(_walk_draws(m, count)) + 64, _DRAWS)
     trees = []
     with block_integers(rng, m, block) as draws:
         for _ in range(count):
@@ -239,22 +248,29 @@ def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
     return trees
 
 
-def iter_trees(m: int, count: int, rng):
-    """The trees of `sample_trees(m, count, rng)`, drawn in batches.
+def _stream(m: int, count: int, rng_or_seed):
+    """`rng_or_seed` if it draws, else the stream `seeded_stream` picks for the seed and `count` walks."""
+    if hasattr(rng_or_seed, "integers"):
+        return rng_or_seed
+    return seeded_stream(rng_or_seed, _walk_draws(m, count))
+
+
+def iter_trees(m: int, count: int, rng_or_seed):
+    """The trees of `sample_trees(m, count, rng)`, drawn in batches; a seed names its stream (`spn.rng`).
 
     `sample_trees` leaves `rng` where scalar draws would, so batches give
     the trees of one call while the memory held is bounded by the batch.
     """
     if count < 0:
         raise SpnError("sample count must be non-negative")
+    rng = _stream(m, count, rng_or_seed)
     batches = (sample_trees(m, min(_BATCH, count - start), rng) for start in range(0, count, _BATCH))
     return (tree for batch in batches for tree in batch)
 
 
 def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
-    """One uniform spanning tree of K_m (see `sample_trees`); a seed draws from `Philox.from_seed(seed)`."""
-    rng = rng_or_seed if hasattr(rng_or_seed, "integers") else Philox.from_seed(rng_or_seed)
-    return sample_trees(m, 1, rng)[0]
+    """One uniform spanning tree of K_m (see `sample_trees`); a seed names its stream (`spn.rng`)."""
+    return sample_trees(m, 1, _stream(m, 1, rng_or_seed))[0]
 
 
 # -- colorings and triangles ---------------------------------------------------
@@ -477,7 +493,7 @@ def constraint_fraction_experiment(
             raise SpnError("need a coloring or an explicit constraint list")
         constraints = derive_constraints(m, coloring, strategy)
     index = _constraint_index(constraints, EdgeIndexing(m).n)
-    obeyed = sum(_obeys(tree.edges, index) for tree in iter_trees(m, samples, Philox.from_seed(seed)))
+    obeyed = sum(_obeys(tree.edges, index) for tree in iter_trees(m, samples, seed))
     c = len(constraints)
     bound = (1 - c / m**3) ** (c / (6 * m**2)) if c else 1.0
     return {

@@ -540,8 +540,8 @@ def coloring_of_k6():
 @pytest.mark.parametrize(
     "args, fixture, absent",
     [
-        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "numpy", "dataclasses"}),
-        (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "numpy"}),
+        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "spn.philox", "numpy", "dataclasses"}),
+        (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "spn.philox", "numpy"}),
         # the seeded commands draw from the pure-Python Philox stream
         (["sample", "-n", "3", "--seed", "1"], normalized_equal, {"spn.sptree", "numpy"}),
         (["sptree", "sample", "--m", "6", "-n", "3", "--seed", "1"], None, {"spn.circuit", "numpy"}),

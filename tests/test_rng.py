@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from spn.errors import SpnError
 from spn.inference import DistributionHandle, normalize_weights, sample
 from spn.machines import build_equal
-from spn.rng import Philox, block_integers, make_rng
-from spn.sptree import constraint_fraction_experiment, sample_tree, sample_trees
+from spn.philox import Philox
+from spn import rng
+from spn.rng import NUMPY_DRAWS, block_integers, make_rng, seeded_stream
+from spn.sptree import constraint_fraction_experiment, iter_trees, sample_tree, sample_trees
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128]
@@ -83,6 +85,20 @@ def test_seeded_calls_draw_from_the_pure_stream():
     assert sample_tree(9, 2**64 + 3).edges == sample_tree(9, make_rng(2**64 + 3)).edges
 
 
+def test_long_seeded_runs_draw_through_numpy(monkeypatch):
+    assert isinstance(seeded_stream(3, NUMPY_DRAWS - 1), Philox)
+    assert not isinstance(seeded_stream(3, NUMPY_DRAWS), Philox)
+    coloring = ["r" if label % 3 else "b" for label in range(66)]
+    trees = [t.edges for t in iter_trees(12, 300, 5)]
+    report = constraint_fraction_experiment(12, 300, 5, coloring=coloring)
+    tree = sample_tree(40, 2**64 + 3)
+    monkeypatch.setattr(rng, "NUMPY_DRAWS", 1)  # every seeded run counts as long
+    assert not isinstance(seeded_stream(3, 1), Philox)
+    assert [t.edges for t in iter_trees(12, 300, 5)] == trees
+    assert constraint_fraction_experiment(12, 300, 5, coloring=coloring) == report
+    assert sample_tree(40, 2**64 + 3) == tree
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, None])
 def test_seeded_calls_reject_a_bad_seed(seed):
     handle = DistributionHandle(normalize_weights(build_equal(2)))
@@ -91,6 +107,8 @@ def test_seeded_calls_reject_a_bad_seed(seed):
         lambda: sample(handle, seed),
         lambda: sample_tree(5, seed),
         lambda: constraint_fraction_experiment(4, 10, seed, constraints=[]),
+        lambda: iter_trees(4, 10, seed),
+        lambda: seeded_stream(seed, NUMPY_DRAWS),
     )
     for call in calls:
         with pytest.raises(SpnError) as exc:
