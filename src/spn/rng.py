@@ -4,15 +4,16 @@ A seed names numpy's `Generator(Philox(SeedSequence(seed)))` stream.
 `make_rng(seed)` returns that Generator, importing numpy on the call, for
 callers that need its other methods; library calls given a Generator draw
 through numpy.  Seeded calls draw from `spn.philox.Philox`, a pure-Python
-copy of the stream that saves numpy's import, except that block draws
-expected to number `NUMPY_DRAWS` or more go through numpy's Generator
-(`seeded_stream`), where each costs about 0.15 us less: the values are
-the same either way.  Identical seeds give identical streams across
-platforms.
+copy of the stream that saves numpy's import, and nothing else: a seeded
+tree walk goes through numpy's Generator, where a block draw costs about
+0.15 us less, once numpy is imported or when it expects `NUMPY_DRAWS`
+draws or more (`seeded_stream`).  The values are the same either way.
+Identical seeds give identical streams across platforms.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from numbers import Integral
 from operator import length_hint
@@ -41,9 +42,10 @@ NUMPY_DRAWS = 1 << 20
 def seeded_stream(seed: int, draws: float):
     """The stream of `seed` for a run expected to take `draws` block draws.
 
-    `spn.philox.Philox`, or numpy's Generator from `NUMPY_DRAWS` draws on.
+    numpy's Generator if numpy is imported already or `draws` reaches
+    `NUMPY_DRAWS`, else `spn.philox.Philox`.
     """
-    if draws >= NUMPY_DRAWS:
+    if draws >= NUMPY_DRAWS or "numpy" in sys.modules:
         return make_rng(seed)
     from .philox import Philox  # here, so the commands that never draw do not compile it
 

@@ -1,5 +1,7 @@
 """The pure-Python Philox stream against numpy's Generator(Philox(SeedSequence(seed)))."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,24 +81,26 @@ def test_trees_of_the_pure_stream_are_numpys_trees(m, count, seed, buffered):
     assert (pure.integers(m), pure.random(), pure.integers(2**32)) == after
 
 
-def test_seeded_calls_draw_from_the_pure_stream():
+def test_seeded_calls_draw_what_the_generator_draws():
     handle = DistributionHandle(normalize_weights(build_equal(6)))
     assert sample(handle, 11) == sample(handle, make_rng(11)) == sample(handle, Philox.from_seed(11))
     assert sample_tree(9, 2**64 + 3).edges == sample_tree(9, make_rng(2**64 + 3)).edges
 
 
-def test_long_seeded_runs_draw_through_numpy(monkeypatch):
-    assert isinstance(seeded_stream(3, NUMPY_DRAWS - 1), Philox)
-    assert not isinstance(seeded_stream(3, NUMPY_DRAWS), Philox)
+def test_seeded_tree_walks_pick_their_stream(monkeypatch):
     coloring = ["r" if label % 3 else "b" for label in range(66)]
-    trees = [t.edges for t in iter_trees(12, 300, 5)]
-    report = constraint_fraction_experiment(12, 300, 5, coloring=coloring)
-    tree = sample_tree(40, 2**64 + 3)
-    monkeypatch.setattr(rng, "NUMPY_DRAWS", 1)  # every seeded run counts as long
+
+    def walks():
+        return [t.edges for t in iter_trees(12, 300, 5)], constraint_fraction_experiment(12, 300, 5, coloring=coloring)
+
+    # numpy is imported here, so every seeded walk draws through it
     assert not isinstance(seeded_stream(3, 1), Philox)
-    assert [t.edges for t in iter_trees(12, 300, 5)] == trees
-    assert constraint_fraction_experiment(12, 300, 5, coloring=coloring) == report
-    assert sample_tree(40, 2**64 + 3) == tree
+    through_numpy, tree = walks(), sample_tree(40, 2**64 + 3)
+    monkeypatch.delitem(sys.modules, "numpy")  # as in a process that has not imported it
+    assert isinstance(seeded_stream(3, NUMPY_DRAWS - 1), Philox)
+    assert walks() == through_numpy and sample_tree(40, 2**64 + 3) == tree
+    monkeypatch.setattr(rng, "make_rng", lambda seed: "numpy's Generator")
+    assert seeded_stream(3, NUMPY_DRAWS) == "numpy's Generator"
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None])
