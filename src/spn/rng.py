@@ -3,8 +3,9 @@
 A seed names numpy's `Generator(Philox(SeedSequence(seed)))` stream.
 `make_rng(seed)` returns that Generator, importing numpy on the call, for
 callers that need its other methods; library calls given a Generator draw
-through numpy.  Seeded calls draw from `spn.philox.Philox`, a pure-Python
-copy of the stream that saves numpy's import, and nothing else: a seeded
+through numpy.  Seeded calls draw from `Philox`, a pure-Python copy of
+the stream (defined in `spn.philox`, which is imported on the first use
+of the name) that saves numpy's import, and nothing else: a seeded
 tree walk goes through numpy's Generator, where a block draw costs about
 0.15 us less, once numpy is imported or when it expects `NUMPY_DRAWS`
 draws or more (`seeded_stream`).  The values are the same either way.
@@ -50,6 +51,14 @@ def seeded_stream(seed: int, draws: float):
     from .philox import Philox  # here, so the commands that never draw do not compile it
 
     return Philox.from_seed(seed)
+
+
+def __getattr__(name):
+    if name != "Philox":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .philox import Philox
+
+    return Philox
 
 
 class _GeneratorStream:

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from spn.errors import SpnError
 from spn.inference import DistributionHandle, normalize_weights, sample
 from spn.machines import build_equal
-from spn.philox import Philox
 from spn import rng
-from spn.rng import NUMPY_DRAWS, block_integers, make_rng, seeded_stream
+from spn.rng import NUMPY_DRAWS, Philox, block_integers, make_rng, seeded_stream
 from spn.sptree import constraint_fraction_experiment, iter_trees, sample_tree, sample_trees
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
