@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -31,6 +31,7 @@ from .errors import (
     SerializationError,
     UnknownVariableError,
 )
+from .records import Record
 
 Rational = Union[int, Fraction]
 MAX_TABLE_CELLS = 1 << 24  # the most grid points `Circuit.tabulate` fills: what comm_matrix can ask for
@@ -43,8 +44,16 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_rational(value)
     raise DomainError(f"not an exact rational: {value!r}")
+
+
+@lru_cache(maxsize=1 << 12)
+def _parse_rational(text: str) -> Fraction:
+    # Documents repeat a few rational strings many times, so each is parsed
+    # once.  Fractions are immutable, so sharing one is safe; errors are not
+    # cached and raise on every call.
+    return Fraction(text)
 
 
 def format_rational(value) -> str:
@@ -59,68 +68,54 @@ def _fast(value: Fraction):
     return value
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """A variable with a finite ordered domain of distinct rationals."""
+class VariableSpec(Record, namedtuple("VariableSpec", "id domain")):
+    """A variable with a finite ordered domain (a tuple) of distinct rationals."""
 
-    id: int
-    domain: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.domain) == 0:
             raise DomainError(f"variable {self.id}: empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise DomainError(f"variable {self.id}: duplicate domain values")
+        return self
 
     @property
     def nontrivial(self) -> bool:
         return len(self.domain) >= 2
 
 
-@dataclass(frozen=True)
-class LeafFunction:
-    """A univariate function of one variable, given as a table over its domain."""
+class LeafFunction(Record, namedtuple("LeafFunction", "id variable table name", defaults=(None,))):
+    """A univariate function of one variable, given as a table over its domain
+    (a dict value -> Fraction), with an optional name."""
 
-    id: int
-    variable: int
-    table: dict[Fraction, Fraction]
-    name: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LeafNode:
-    id: int
-    leaf_function: int
+class LeafNode(Record, namedtuple("LeafNode", "id leaf_function")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstantNode:
-    id: int
-    value: Fraction
+class ConstantNode(Record, namedtuple("ConstantNode", "id value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SumNode:
-    id: int
-    children: tuple[int, ...]
-    weights: tuple[Fraction, ...]
+class SumNode(Record, namedtuple("SumNode", "id children weights")):
+    """Children ids and their edge weights, two tuples of one length."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProductNode:
-    id: int
-    children: tuple[int, ...]
+class ProductNode(Record, namedtuple("ProductNode", "id children")):
+    __slots__ = ()
 
 
 Node = Union[LeafNode, ConstantNode, SumNode, ProductNode]
 
 
-@dataclass(frozen=True)
-class CircuitMetrics:
-    size: int
-    depth: int
-    product_depth: int
-    is_formula: bool
+class CircuitMetrics(Record, namedtuple("CircuitMetrics", "size depth product_depth is_formula")):
+    __slots__ = ()
 
 
 def node_children(node: Node) -> tuple[int, ...]:
@@ -614,11 +609,13 @@ def to_json_dict(circuit: Circuit) -> dict:
 _JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object", Fraction: "an exact rational"}
 
 
-def _checked(value, kind: type, where: str):
+def _checked(value, kind: type, where: str, *where_args):
     """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, converted;
-    list: a list or, from Python callers, a tuple).
+    list: a list or, from Python callers, a tuple that is not a record).
 
-    Raises SerializationError naming the document path `where` otherwise.
+    Raises SerializationError naming the document path `where` otherwise,
+    `where % where_args` when arguments are given, so a path is formatted
+    only for a value that fails.
     """
     if kind is Fraction:
         if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
@@ -627,10 +624,12 @@ def _checked(value, kind: type, where: str):
             except (ValueError, ZeroDivisionError):
                 pass
     elif kind is list:
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)) and not isinstance(value, Record):
             return value
     elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
+    if where_args:
+        where = where % where_args
     raise SerializationError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
 
 
@@ -644,7 +643,7 @@ def _field(obj: dict, key: str, kind: type, where: str):
 def _array(obj: dict, key: str, kind: type, where: str) -> list:
     items = _field(obj, key, list, where)
     where = f"{where}.{key}" if where else key
-    return [_checked(x, kind, f"{where}[{i}]") for i, x in enumerate(items)]
+    return [_checked(x, kind, "%s[%d]", where, i) for i, x in enumerate(items)]
 
 
 def from_json_dict(doc: dict) -> Circuit:
@@ -662,7 +661,7 @@ def from_json_dict(doc: dict) -> Circuit:
     for i, f in enumerate(_array(doc, "leaf_functions", dict, "")):
         where = f"leaf_functions[{i}]"
         table = {
-            _checked(k, Fraction, f"{where}.table"): _checked(x, Fraction, f"{where}.table.{k}")
+            _checked(k, Fraction, "%s.table", where): _checked(x, Fraction, "%s.table.%s", where, k)
             for k, x in _field(f, "table", dict, where).items()
         }
         name = f.get("name")

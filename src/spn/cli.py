@@ -191,10 +191,14 @@ def cmd_sample(args):
     handle = DistributionHandle(circuit)
     rng = Philox.from_seed(args.seed)
     variables = sorted(circuit.dependency_scope())
+    # Each domain value formatted once.  `sample` draws the domain's own
+    # objects, so the maps are keyed by identity: hashing a Fraction costs
+    # more than formatting it.
+    text = [{id(x): format_rational(x) for x in circuit.variables[v].domain} for v in variables]
     lines = []
     for _ in range(args.count):
         assignment = sample(handle, rng)
-        lines.append(",".join(format_rational(assignment[v]) for v in variables) + "\n")
+        lines.append(",".join([t[id(assignment[v])] for v, t in zip(variables, text)]) + "\n")
     _write_text(args.output, "".join(lines))
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping
@@ -34,15 +34,15 @@ from .errors import (
     SpnError,
     ZeroPartitionError,
 )
+from .records import Record
 from .structure import is_dc, rewrite
 
 
-@dataclass(frozen=True)
-class MarginalQuery:
-    """Integration sets for some variables, fixed values for the rest."""
+class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed")):
+    """Integration sets for some variables, fixed values for the rest: dicts
+    variable -> tuple of Fractions and variable -> Fraction."""
 
-    integrate_over: dict[int, tuple[Fraction, ...]]
-    fixed: dict[int, Fraction]
+    __slots__ = ()
 
     @staticmethod
     def of(integrate_over: Mapping, fixed: Mapping) -> "MarginalQuery":
@@ -225,17 +225,15 @@ def _thresholds(masses) -> list[float]:
     return list(accumulate(out, max))
 
 
-@dataclass
 class DistributionHandle:
     """A D&C circuit with its cached partition function and sampling plan."""
 
-    circuit: Circuit
-    partition: Fraction = field(default=None)
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("circuit", "partition", "_plan")
 
-    def __post_init__(self):
-        if self.partition is None:
-            self.partition = partition_function(self.circuit)
+    def __init__(self, circuit: Circuit, partition: Fraction | None = None):
+        self.circuit = circuit
+        self.partition = partition_function(circuit) if partition is None else partition
+        self._plan = None
 
     def density(self, assignment) -> Fraction:
         return as_fraction(self.circuit.evaluate(assignment)) / self.partition

@@ -11,11 +11,12 @@ decomposable and complete circuits of size O(n k^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .circuit import Circuit, CircuitBuilder, ConstantNode, _array, _checked, _field, as_fraction
 from .errors import DomainError, SerializationError, SpnError
+from .records import Record
 from .structure import excise
 
 BINARY = (Fraction(0), Fraction(1))
@@ -34,19 +35,19 @@ def _table_entries(n, order, domains, tables, what) -> list[tuple[int, object]]:
     return [(i, tables[i][x]) for i in range(n) for x in domains[i]]
 
 
-@dataclass(frozen=True)
-class Fpssm:
-    """State machine with per-variable transitions over states 0..k-1."""
+class Fpssm(Record, namedtuple("Fpssm", "n order state_size initial_state transitions decode domains")):
+    """State machine with per-variable transitions over states 0..k-1.
 
-    n: int
-    order: tuple[int, ...]  # variable ids in processing order
-    state_size: int
-    initial_state: int
-    transitions: tuple[dict, ...]  # per variable: value -> tuple next-state per state
-    decode: tuple[Fraction, ...]  # state -> non-negative output
-    domains: tuple[tuple[Fraction, ...], ...]
+    `order` lists the variable ids in processing order; `transitions` maps,
+    per variable, each value to the tuple of next states per state;
+    `decode` maps each state to a non-negative output; `domains` holds
+    each variable's domain tuple.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         entries = _table_entries(self.n, self.order, self.domains, self.transitions, "transitions")
         k = self.state_size
         if not (0 <= self.initial_state < k):
@@ -56,21 +57,19 @@ class Fpssm:
                 raise SpnError(f"transition table of variable {i} is not into 0..{k - 1}")
         if len(self.decode) != k or any(h < 0 for h in self.decode):
             raise SpnError("decode must map every state to a non-negative rational")
+        return self
 
 
-@dataclass(frozen=True)
-class Fplm:
-    """Linear model: output is b . T_last(x_last) ... T_first(x_first) a."""
+class Fplm(Record, namedtuple("Fplm", "n order dim a b matrices domains")):
+    """Linear model: output is b . T_last(x_last) ... T_first(x_first) a.
 
-    n: int
-    order: tuple[int, ...]
-    dim: int
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    matrices: tuple[dict, ...]  # per variable: value -> k x k tuple-of-tuples
-    domains: tuple[tuple[Fraction, ...], ...]
+    `matrices` maps, per variable, each value to a k x k tuple of tuples.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         entries = _table_entries(self.n, self.order, self.domains, self.matrices, "matrices")
         k = self.dim
         if len(self.a) != k or len(self.b) != k:
@@ -82,6 +81,7 @@ class Fplm:
                 raise SpnError(f"matrix of variable {i} is not {k}x{k}")
             if any(x < 0 for row in t for x in row):
                 raise SpnError("matrix entries must be non-negative")
+        return self
 
 
 def _lookup(domains, i, value):

@@ -10,13 +10,14 @@ found by walking down the largest-scope children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iter_product
 
 from .circuit import Circuit, ConstantNode, ProductNode, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank, integer_rank, scaled_row
+from .records import Record
 from .structure import excise, is_dc, rewrite
 
 __all__ = [
@@ -32,17 +33,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommMatrix:
+class CommMatrix(Record, namedtuple("CommMatrix", "block_a block_b entries")):
     """Function values indexed by assignments to the two partition blocks.
 
-    Bit i of a row index is the value of the i-th smallest variable of A
-    (little-endian); columns encode B the same way.
+    `block_a`, `block_b` are sorted tuples of variable ids and `entries` a
+    tuple of rows.  Bit i of a row index is the value of the i-th smallest
+    variable of A (little-endian); columns encode B the same way.
     """
 
-    block_a: tuple[int, ...]
-    block_b: tuple[int, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
 
 def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix:
@@ -165,18 +164,15 @@ def binarize_products(circuit: Circuit) -> Circuit:
     return rewrite(circuit, rule)
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
-    y_vars: tuple[int, ...]
-    z_vars: tuple[int, ...]
-    g_table: dict  # assignment tuple over y_vars -> value
-    h_table: dict  # assignment tuple over z_vars -> value
+class DecompositionTerm(Record, namedtuple("DecompositionTerm", "y_vars z_vars g_table h_table")):
+    """g * h with g over the variables `y_vars`, h over `z_vars`; each table
+    maps an assignment tuple over its variables to a value."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    terms: tuple[DecompositionTerm, ...]
-    source_size: int
+class Decomposition(Record, namedtuple("Decomposition", "terms source_size")):
+    __slots__ = ()
 
     def reconstruct(self, assignment) -> Fraction:
         """Sum of g_i * h_i at a full assignment (mapping variable -> value)."""

@@ -20,6 +20,7 @@ from numbers import Integral
 
 from .errors import InstanceTooLargeError, SpnError
 from .linalg import det_symmetric
+from .records import Record
 from .rng import block_integers, seeded_stream
 
 RED = "r"
@@ -28,19 +29,7 @@ _BATCH = 1 << 12  # trees iter_trees holds at once
 _DRAWS = 1 << 12  # most values sample_trees draws at once
 
 
-class _Record(tuple):
-    """Base of the immutable records below: equal only to a record of the same class."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
-
-
-class EdgeIndexing(_Record, namedtuple("EdgeIndexing", "m")):
+class EdgeIndexing(Record, namedtuple("EdgeIndexing", "m")):
     """Canonical labeling of the C(m,2) edges of K_m, lexicographic by (u, v)."""
 
     __slots__ = ()
@@ -79,13 +68,13 @@ def _row_offsets(m: int) -> list[int]:
     return [_row_offset(m, u) for u in range(m)]
 
 
-class PartialAssignment(_Record, namedtuple("PartialAssignment", "values")):
+class PartialAssignment(Record, namedtuple("PartialAssignment", "values")):
     """Fixed 0/1 values for a subset of edge labels (a dict label -> value)."""
 
     __slots__ = ()
 
 
-class EdgeLabeledGraph(_Record, namedtuple("EdgeLabeledGraph", "m edges")):
+class EdgeLabeledGraph(Record, namedtuple("EdgeLabeledGraph", "m edges")):
     """A subgraph of K_m as a frozenset of edge labels."""
 
     __slots__ = ()
@@ -352,7 +341,7 @@ def triangles_within_fisher(triangle_count: int, e: int) -> bool:
 _DichotomyFields = namedtuple("DichotomyResult", "holds_pair_branch holds_single_branch counterexample")
 
 
-class DichotomyResult(_Record, _DichotomyFields):
+class DichotomyResult(Record, _DichotomyFields):
     """Outcome of `dichotomy_check`.
 
     holds_pair_branch: zero whenever both same-colored edges are present.

@@ -10,7 +10,7 @@ unsatisfiability.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
@@ -32,19 +32,20 @@ from .errors import (
     TrivialVariableError,
     ZeroCircuitError,
 )
-from .polynomial import expand, is_set_multilinear
+from .records import Record
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    decomposable: bool
-    decomposability_violations: tuple[int, ...]
-    complete: bool
-    completeness_violations: tuple[int, ...]
-    non_degenerate: bool
-    degeneracy_offenders: tuple[int, ...]
-    all_variables_nontrivial: bool
-    strongly_valid: bool
+_StructureFields = namedtuple(
+    "StructureReport",
+    "decomposable decomposability_violations complete completeness_violations"
+    " non_degenerate degeneracy_offenders all_variables_nontrivial strongly_valid",
+)
+
+
+class StructureReport(Record, _StructureFields):
+    """Verdicts of `analyze`, each violation list a tuple of node ids."""
+
+    __slots__ = ()
 
 
 def _require_monotone(circuit: Circuit):
@@ -251,6 +252,8 @@ def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:
         raise DegenerateCircuitError(f"zero weights/constants at nodes {offenders}; prune first")
     result = is_dc(circuit)
     if audit:
+        from .polynomial import expand, is_set_multilinear
+
         sml = is_set_multilinear(expand(circuit))
         if sml != result:
             raise SpnError(

@@ -516,10 +516,11 @@ def test_rank_does_not_import_numpy():
 
 
 def _loaded_modules(args, stdin=None):
-    """Exit code of `spn <args>` run in a fresh interpreter, and the spn, numpy and dataclasses modules it loaded."""
+    """Exit code of `spn <args>` run in a fresh interpreter, and the spn, numpy,
+    dataclasses and inspect modules it loaded."""
     code = (
         "import sys\nfrom spn.cli import main\nrc = main(sys.argv[1:])\n"
-        "print(rc, *sorted(m for m in sys.modules if m in ('numpy', 'dataclasses') or m.startswith('spn')), "
+        "print(rc, *sorted(m for m in sys.modules if m in ('numpy', 'dataclasses', 'inspect') or m.startswith('spn')), "
         "file=sys.stderr)"
     )
     proc = subprocess.run(
@@ -537,13 +538,24 @@ def coloring_of_k6():
     return json.dumps(["r" if label % 3 else "b" for label in range(15)])
 
 
+# no stage below loads numpy, or dataclasses and the inspect it imports (records are namedtuples)
+HEAVY = {"dataclasses", "inspect", "numpy"}
+
+
 @pytest.mark.parametrize(
     "args, fixture, absent",
     [
-        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "spn.philox", "numpy", "dataclasses"}),
-        (["check"], incomplete_valid_fixture, {"spn.sptree", "spn.machines", "spn.separation", "spn.philox", "numpy"}),
+        (["sptree", "count", "--m", "6"], None, {"spn.circuit", "spn.structure", "spn.philox", *HEAVY}),
+        (
+            ["check"],
+            incomplete_valid_fixture,
+            {"spn.sptree", "spn.machines", "spn.separation", "spn.philox", *HEAVY},
+        ),
+        (["builtin", "equal", "--n", "6"], None, {"spn.polynomial", "spn.inference", "spn.philox", *HEAVY}),
+        (["normalize"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.philox", *HEAVY}),
+        (["rank"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.inference", *HEAVY}),
         # the seeded commands draw from the pure-Python Philox stream
-        (["sample", "-n", "3", "--seed", "1"], normalized_equal, {"spn.sptree", "numpy"}),
+        (["sample", "-n", "3", "--seed", "1"], normalized_equal, {"spn.sptree", "spn.polynomial", *HEAVY}),
         (["sptree", "sample", "--m", "6", "-n", "3", "--seed", "1"], None, {"spn.circuit", "numpy"}),
         (
             ["sptree", "fraction-experiment", "--m", "6", "--seed", "1", "--coloring", "-"],
@@ -632,7 +644,8 @@ def test_negative_seed_is_a_typed_error():
 
 
 def _corpus_circuit():
-    """Three binary variables, every node kind and two shared leaves; decomposable and complete."""
+    """Three binary variables, every node kind and two shared leaves; decomposable,
+    complete and weight-normalized, so every corpus command runs on it."""
     b = CircuitBuilder()
     x, y, z = (b.variable([0, 1]) for _ in range(3))
     leaves = [
@@ -641,7 +654,7 @@ def _corpus_circuit():
     ]
     left = b.product([leaves[0], leaves[1], leaves[2], b.constant("1/2")])
     right = b.product([leaves[3], leaves[1], leaves[2]])
-    return b.build(b.sum([(left, "1/3"), (right, "2/3")]))
+    return normalize_weights(b.build(b.sum([(left, "1/3"), (right, "2/3")])))
 
 
 CORPUS_COMMANDS = [
@@ -651,6 +664,7 @@ CORPUS_COMMANDS = [
     ["normalize"],
     ["rank"],
     ["decompose"],
+    ["sample", "-n", "1", "--seed", "0"],
 ]
 WRONG_VALUES = ["x", 1.5, None, True, {"a": 1}]
 
@@ -716,3 +730,41 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         lines = err.splitlines()
         assert rc in (1, 2) and out == "", (label, args)
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err)
+
+
+
+DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, line",
+    [
+        (("nodes", 5, "children", 0), "x", "nodes[5].children[0]: expected an integer, got 'x'"),
+        (("nodes", 6, "children"), {"0": 1}, "nodes[6].children: expected an array, got {'0': 1}"),
+        (("leaf_functions", 1, "table"), DELETED, "leaf_functions[1].table: missing"),
+        (("nodes", 7, "weights", 1), "1/0", "nodes[7].weights[1]: expected an exact rational, got '1/0'"),
+        (("nodes", 7, "weights", 0), True, "nodes[7].weights[0]: expected an exact rational, got True"),
+        (("nodes", 4, "value"), "one", "nodes[4].value: expected an exact rational, got 'one'"),
+        (("variables", 2, "domain", 1), "a/b", "variables[2].domain[1]: expected an exact rational, got 'a/b'"),
+        (("leaf_functions", 2, "table", "1"), 1.5, "leaf_functions[2].table.1: expected an exact rational, got 1.5"),
+        (("leaf_functions", 0, "table", "x"), "1", "leaf_functions[0].table: expected an exact rational, got 'x'"),
+        (("leaf_functions", 3, "name"), 7, "leaf_functions[3].name: expected a string, got 7"),
+    ],
+)
+def test_loader_error_lines_are_pinned(path, value, line, tmp_path, capsys):
+    from spn import cli
+
+    doc = json.loads(serialize(_corpus_circuit()))
+    *parents, last = path
+    item = doc
+    for key in parents:
+        item = item[key]
+    if value is DELETED:
+        del item[last]
+    else:
+        item[last] = value
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(doc))
+    for args in (["sample", "-n", "1", "--seed", "0"], ["check"]):
+        assert cli.main([*args, str(circuit)]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
