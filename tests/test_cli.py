@@ -551,17 +551,17 @@ HEAVY = {"dataclasses", "inspect", "numpy"}
             incomplete_valid_fixture,
             {"spn.sptree", "spn.machines", "spn.separation", "spn.philox", *HEAVY},
         ),
-        (["builtin", "equal", "--n", "6"], None, {"spn.polynomial", "spn.inference", "spn.philox", *HEAVY}),
-        (["normalize"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.philox", *HEAVY}),
-        (["rank"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.inference", *HEAVY}),
         # the seeded commands draw from the pure-Python Philox stream
         (["sample", "-n", "3", "--seed", "1"], normalized_equal, {"spn.sptree", "spn.polynomial", *HEAVY}),
-        (["sptree", "sample", "--m", "6", "-n", "3", "--seed", "1"], None, {"spn.circuit", "numpy"}),
+        (["sptree", "sample", "--m", "6", "-n", "3", "--seed", "1"], None, {"spn.circuit", *HEAVY}),
         (
             ["sptree", "fraction-experiment", "--m", "6", "--seed", "1", "--coloring", "-"],
             coloring_of_k6,
-            {"spn.circuit", "numpy"},
+            {"spn.circuit", *HEAVY},
         ),
+        (["builtin", "equal", "--n", "6"], None, {"spn.polynomial", "spn.inference", "spn.philox", *HEAVY}),
+        (["normalize"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.philox", *HEAVY}),
+        (["rank"], lambda: build_equal(6), {"spn.polynomial", "spn.machines", "spn.inference", *HEAVY}),
     ],
 )
 def test_subcommands_import_only_what_they_run(args, fixture, absent):
@@ -730,7 +730,6 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         lines = err.splitlines()
         assert rc in (1, 2) and out == "", (label, args)
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err)
-
 
 
 DELETED = object()
