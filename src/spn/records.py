@@ -8,8 +8,6 @@ is what a frozen dataclass does, without importing `dataclasses` or
 generating code per class.  Checks on the fields go in `__new__`.
 """
 
-from __future__ import annotations
-
 
 class Record(tuple):
     """Base of the immutable records: equal only to a record of the same class."""
