@@ -185,11 +185,11 @@ def cmd_normalize(args):
 def cmd_sample(args):
     from .circuit import format_rational
     from .inference import DistributionHandle, sample
-    from .philox import Philox
+    from .rng import seeded_stream
 
     circuit = _load_circuit(args.circuit)
     handle = DistributionHandle(circuit)
-    rng = Philox.from_seed(args.seed)
+    rng = seeded_stream(args.seed)
     variables = sorted(circuit.dependency_scope())
     # Each domain value formatted once.  `sample` draws the domain's own
     # objects, so the maps are keyed by identity: hashing a Fraction costs

@@ -271,14 +271,14 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     dependency-scope is assigned exactly once.  Every choice compares one
     rng.random() against the node's exact thresholds (see _thresholds).
     `rng_or_seed` is a `spn.philox.Philox` stream, a numpy Generator, or a
-    seed for `Philox.from_seed`.
+    seed, whose stream `spn.rng.seeded_stream` picks.
     """
     steps, scope = handle.sampling_plan()
     rng = rng_or_seed
-    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.philox
-        from .philox import Philox
+    if not hasattr(rng, "random"):  # imported here, so normalize and partition do not load spn.rng
+        from .rng import seeded_stream
 
-        rng = Philox.from_seed(rng_or_seed)
+        rng = seeded_stream(rng_or_seed)
     assignment: dict[int, Fraction] = {}
     stack = [handle.circuit.root]
     while stack:

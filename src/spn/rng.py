@@ -3,14 +3,13 @@
 A seed names numpy's `Generator(Philox(SeedSequence(seed)))` stream.
 `make_rng(seed)` returns that Generator, importing numpy on the call, for
 callers that need its other methods; library calls given a Generator draw
-through numpy.  Seeded calls draw from `Philox`, a pure-Python copy of
-the stream (defined in `spn.philox`, which is imported on the first use
-of the name) that saves numpy's import, and nothing else: a seeded
-tree walk goes through numpy's Generator, where a block draw costs about
-0.15 us less, once numpy is imported or when it expects `NUMPY_DRAWS`
-draws or more (`seeded_stream`).  The values are the same either way.
-Identical seeds give identical streams across platforms.
-"""
+through numpy.  `seeded_stream` is the one place a seed becomes a stream:
+`Philox`, a pure-Python copy of the stream (defined in `spn.philox`,
+which is imported on the first use of the name) that saves numpy's
+import, unless numpy is imported already or the run expects
+`NUMPY_DRAWS` draws or more, when numpy's Generator, where a block draw
+costs about 0.15 us less, is used.  The values are the same either way.
+Identical seeds give identical streams across platforms."""
 
 from __future__ import annotations
 
@@ -40,17 +39,20 @@ def make_rng(seed: int) -> "numpy.random.Generator":
 NUMPY_DRAWS = 1 << 20
 
 
-def seeded_stream(seed: int, draws: float):
-    """The stream of `seed` for a run expected to take `draws` block draws.
+def seeded_stream(rng_or_seed, draws: float = 0):
+    """The stream `rng_or_seed` names, for a run expected to take `draws` draws.
 
-    numpy's Generator if numpy is imported already or `draws` reaches
-    `NUMPY_DRAWS`, else `spn.philox.Philox`.
+    An object that draws (it has `random`) is returned as is.  A seed
+    gets numpy's Generator if numpy is imported already or `draws`
+    reaches `NUMPY_DRAWS`, else `spn.philox.Philox`.
     """
+    if hasattr(rng_or_seed, "random"):
+        return rng_or_seed
     if draws >= NUMPY_DRAWS or "numpy" in sys.modules:
-        return make_rng(seed)
+        return make_rng(rng_or_seed)
     from .philox import Philox  # here, so the commands that never draw do not compile it
 
-    return Philox.from_seed(seed)
+    return Philox.from_seed(rng_or_seed)
 
 
 def __getattr__(name):

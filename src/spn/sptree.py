@@ -25,8 +25,7 @@ from .rng import block_integers, seeded_stream
 
 RED = "r"
 BLUE = "b"
-_BATCH = 1 << 12  # trees iter_trees holds at once
-_DRAWS = 1 << 12  # most values sample_trees draws at once
+_DRAWS = 1 << 12  # most values a walk draws at once
 
 
 class EdgeIndexing(Record, namedtuple("EdgeIndexing", "m")):
@@ -198,29 +197,29 @@ def marginal(m: int, partial: PartialAssignment, normalized: bool = False):
     return count
 
 
-def _walk_draws(m: int, count: int) -> float:
-    """A bound on the mean draws of `count` walks on K_m: each takes 1 + m H_{m-1} < m (ln m + 1)."""
-    return count * m * (math.log(m) + 1) if m > 1 else 0
-
-
-def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
+def iter_trees(m: int, count: int, rng_or_seed):
     """`count` uniform spanning trees of K_m by the re-sampling first-entry walk.
 
     Each step draws the next vertex uniformly from all m vertices (the
     current vertex may repeat); the edge to a first-visited vertex joins
     the tree; a walk stops once every vertex has been visited, and the
-    next tree's walk starts at the next draw.  `rng` is a
-    `spn.philox.Philox` stream or a numpy Generator.  The draws come in
-    blocks, yet the trees and the state `rng` is left in are those of one
-    scalar `rng.integers(m)` call per step.
+    next tree's walk starts at the next draw.  `rng_or_seed` is a
+    `spn.philox.Philox` stream, a numpy Generator, or a seed, whose stream
+    `spn.rng.seeded_stream` picks.  `m`, `count` and the seed are checked
+    on the call.  The draws come in blocks, yet the trees, and the state
+    the stream is left in once the iterator is exhausted or closed, are
+    those of one scalar `integers(m)` call per step.
     """
     if m < 2:
         raise SpnError("need at least two vertices")
     if count < 0:
         raise SpnError("sample count must be non-negative")
+    draws = count * m * (math.log(m) + 1)  # bounds the mean: a walk takes 1 + m H_{m-1} < m (ln m + 1)
+    return _walks(m, count, seeded_stream(rng_or_seed, draws), min(int(draws) + 64, _DRAWS))
+
+
+def _walks(m: int, count: int, rng, block: int):
     row = _row_offsets(m)
-    block = min(int(_walk_draws(m, count)) + 64, _DRAWS)
-    trees = []
     with block_integers(rng, m, block) as draws:
         for _ in range(count):
             current = next(draws)
@@ -233,33 +232,17 @@ def sample_trees(m: int, count: int, rng) -> list[EdgeLabeledGraph]:
                     if len(visited) == m:
                         break
                 current = nxt
-            trees.append(EdgeLabeledGraph(m, frozenset(edges)))
-    return trees
+            yield EdgeLabeledGraph(m, frozenset(edges))
 
 
-def _stream(m: int, count: int, rng_or_seed):
-    """`rng_or_seed` if it draws, else the stream `seeded_stream` picks for the seed and `count` walks."""
-    if hasattr(rng_or_seed, "integers"):
-        return rng_or_seed
-    return seeded_stream(rng_or_seed, _walk_draws(m, count))
-
-
-def iter_trees(m: int, count: int, rng_or_seed):
-    """The trees of `sample_trees(m, count, rng)`, drawn in batches; a seed names its stream (`spn.rng`).
-
-    `sample_trees` leaves `rng` where scalar draws would, so batches give
-    the trees of one call while the memory held is bounded by the batch.
-    """
-    if count < 0:
-        raise SpnError("sample count must be non-negative")
-    rng = _stream(m, count, rng_or_seed)
-    batches = (sample_trees(m, min(_BATCH, count - start), rng) for start in range(0, count, _BATCH))
-    return (tree for batch in batches for tree in batch)
+def sample_trees(m: int, count: int, rng_or_seed) -> list[EdgeLabeledGraph]:
+    """The trees of `iter_trees(m, count, rng_or_seed)`, as a list."""
+    return list(iter_trees(m, count, rng_or_seed))
 
 
 def sample_tree(m: int, rng_or_seed) -> EdgeLabeledGraph:
-    """One uniform spanning tree of K_m (see `sample_trees`); a seed names its stream (`spn.rng`)."""
-    return sample_trees(m, 1, _stream(m, 1, rng_or_seed))[0]
+    """One uniform spanning tree of K_m: `sample_trees(m, 1, rng_or_seed)[0]`."""
+    return sample_trees(m, 1, rng_or_seed)[0]
 
 
 # -- colorings and triangles ---------------------------------------------------

@@ -95,11 +95,18 @@ def test_seeded_tree_walks_pick_their_stream(monkeypatch):
     # numpy is imported here, so every seeded walk draws through it
     assert not isinstance(seeded_stream(3, 1), Philox)
     through_numpy, tree = walks(), sample_tree(40, 2**64 + 3)
+    numpy = sys.modules["numpy"]
     monkeypatch.delitem(sys.modules, "numpy")  # as in a process that has not imported it
     assert isinstance(seeded_stream(3, NUMPY_DRAWS - 1), Philox)
     assert walks() == through_numpy and sample_tree(40, 2**64 + 3) == tree
     monkeypatch.setattr(rng, "make_rng", lambda seed: "numpy's Generator")
     assert seeded_stream(3, NUMPY_DRAWS) == "numpy's Generator"
+    # sample(handle, seed) takes its stream by the same rule
+    handle, seeds = DistributionHandle(normalize_weights(build_equal(6))), []
+    monkeypatch.setattr(rng, "make_rng", lambda seed: seeds.append(seed) or Philox.from_seed(seed))
+    assert sample(handle, 11) == sample(handle, Philox.from_seed(11)) and seeds == []
+    monkeypatch.setitem(sys.modules, "numpy", numpy)
+    assert sample(handle, 11) == sample(handle, Philox.from_seed(11)) and seeds == [11]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None])

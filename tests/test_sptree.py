@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 from spn import sptree
 from spn.errors import SpnError
 from spn.linalg import det_symmetric
-from spn.rng import make_rng
+from spn.rng import Philox, make_rng
 from spn.sptree import (
     DichotomyResult,
     EdgeIndexing,
@@ -206,19 +206,29 @@ def test_seed_must_be_a_non_negative_integer(seed):
 
 @pytest.mark.parametrize("m", [2, 3, 6, 20, 60])
 @pytest.mark.parametrize("count", [1, 4, 7, 50])
-def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count, monkeypatch):
+def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count):
     # the walk takes a data-dependent number of draws; an odd number
     # leaves half of a 64-bit Philox word buffered
-    monkeypatch.setattr(sptree, "_BATCH", 3)
-    reference = make_rng(m * 100 + count)
+    seed, k = m * 100 + count, count // 2
+    reference = make_rng(seed)
     expected = [reference_walk(m, reference) for _ in range(count)]
     after = (reference.integers(1 << 40), reference.random(), reference.integers(m))
-    one_call, single, batched = (make_rng(m * 100 + count) for _ in range(3))
+    one_call, single, iterated = (make_rng(seed) for _ in range(3))
     assert [t.edges for t in sample_trees(m, count, one_call)] == expected
     assert [sample_tree(m, single).edges for _ in range(count)] == expected
-    assert [t.edges for t in iter_trees(m, count, batched)] == expected
-    for rng in (one_call, single, batched):
+    assert [t.edges for t in iter_trees(m, count, iterated)] == expected
+    for rng in (one_call, single, iterated):
         assert (rng.integers(1 << 40), rng.random(), rng.integers(m)) == after
+    # an iterator closed after k < count trees leaves the stream of k scalar walks
+    reference = make_rng(seed)
+    for _ in range(k):
+        reference_walk(m, reference)
+    after = (int(reference.integers(1 << 32)), reference.random(), int(reference.integers(m)))
+    for rng in (make_rng(seed), Philox.from_seed(seed)):
+        walks = iter_trees(m, count, rng)
+        assert [next(walks).edges for _ in range(k)] == expected[:k]
+        walks.close()
+        assert (int(rng.integers(1 << 32)), rng.random(), int(rng.integers(m))) == after
 
 
 def test_sample_trees_counts():
