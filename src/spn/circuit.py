@@ -695,6 +695,6 @@ def serialize(circuit: Circuit, indent: int | None = None) -> str:
 def deserialize(text: str) -> Circuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the int/str digit limit
         raise SerializationError(f"invalid JSON: {exc}") from exc
     return from_json_dict(doc)

@@ -302,9 +302,10 @@ def cmd_sptree_count(args):
 def cmd_sptree_sample(args):
     from .sptree import EdgeIndexing, iter_trees
 
+    trees = iter_trees(args.m, args.count, args.seed)  # checks m before the row below is built
     zeros = ["0"] * EdgeIndexing(args.m).n
     lines = []
-    for tree in iter_trees(args.m, args.count, args.seed):
+    for tree in trees:
         row = zeros.copy()
         for label in tree.edges:
             row[label] = "1"
@@ -482,14 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact ints of any size parse and print while a command runs (the limit exists from 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except SpnError as exc:
+    except (SpnError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .rng import block_integers, seeded_stream
 
 RED = "r"
 BLUE = "b"
+MAX_VERTICES = 1 << 12  # most vertices a count or a walk takes; the Cayley count has 14,790 digits there
 _DRAWS = 1 << 12  # most values a walk draws at once
 
 
@@ -115,6 +116,14 @@ def density(m: int, x) -> int:
     return 1
 
 
+def _check_vertices(m: int) -> None:
+    """Reject an m below 2 or above `MAX_VERTICES`, before anything sized by m is built."""
+    if m < 2:
+        raise SpnError("need at least two vertices")
+    if m > MAX_VERTICES:
+        raise InstanceTooLargeError(f"K_{m} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
+
+
 def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     """Number of spanning trees of K_m consistent with the partial assignment.
 
@@ -131,8 +140,7 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     it is one row smaller, and the other matrix fills in as it is
     eliminated.
     """
-    if m < 2:
-        raise SpnError("need at least two vertices")
+    _check_vertices(m)
     n = m * (m - 1) // 2
     absent, present = [], []
     for label, value in partial.values.items():
@@ -210,8 +218,7 @@ def iter_trees(m: int, count: int, rng_or_seed):
     the stream is left in once the iterator is exhausted or closed, are
     those of one scalar `integers(m)` call per step.
     """
-    if m < 2:
-        raise SpnError("need at least two vertices")
+    _check_vertices(m)
     if count < 0:
         raise SpnError("sample count must be non-negative")
     draws = count * m * (math.log(m) + 1)  # bounds the mean: a walk takes 1 + m H_{m-1} < m (ln m + 1)

@@ -226,6 +226,13 @@ def test_deserialize_rejects_garbage():
         deserialize('{"variables": []}')
 
 
+def test_deserialize_rejects_an_integer_past_the_digit_limit():
+    # Python's int/str conversion stops at 4,300 digits by default
+    doc = serialize(build_equal(2)).replace('"root": ', '"root": ' + "9" * 5000, 1)
+    with pytest.raises(SerializationError, match="invalid JSON: Exceeds the limit"):
+        deserialize(doc)
+
+
 def test_root_must_have_no_parents():
     b = CircuitBuilder()
     x = b.variable([0, 1])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -711,7 +712,15 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
     normalized = tmp_path / "normalized.json"
     cli.main(["normalize", str(path), "-o", str(normalized)])
     coloring.write_text(json.dumps(["r", "b"] * 3))
+    long_int = "9" * 5000  # past Python's 4,300-digit int/str limit
+    big_root, big_key = tmp_path / "big_root.json", tmp_path / "big_key.json"
+    big_root.write_text(serialize(_corpus_circuit()).replace('"root": ', '"root": ' + long_int, 1))
+    big_key.write_text(json.dumps({"fixed": {long_int: 1}}))
     cases = [
+        (["check", str(big_root)], "root past the digit limit"),
+        (["marginalize", "--query", str(big_key), str(path)], "query key past the digit limit"),
+        (["sptree", "count", "--m", "1000000"], "K_1000000 has more than MAX_VERTICES = 4096 vertices"),
+        (["sptree", "sample", "--m", "100000000", "--seed", "1"], "K_100000000 has more than MAX_VERTICES"),
         (["sample", "--seed", "-1", str(normalized)], "seed must be a non-negative integer, got -1"),
         (["sptree", "sample", "--m", "5", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         (
@@ -730,6 +739,23 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         lines = err.splitlines()
         assert rc in (1, 2) and out == "", (label, args)
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err)
+
+
+def test_cli_prints_exact_ints_of_any_size(capsys):
+    from spn import cli
+
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["sptree", "count", "--m", "1500"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    count = re.search(r'"count": (\d+),', capsys.readouterr().out).group(1)
+    try:
+        sys.set_int_max_str_digits(0)
+        assert count == str(1500**1498)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(count) == 4758
 
 
 DELETED = object()

@@ -92,10 +92,10 @@ def test_seeded_tree_walks_pick_their_stream(monkeypatch):
     def walks():
         return [t.edges for t in iter_trees(12, 300, 5)], constraint_fraction_experiment(12, 300, 5, coloring=coloring)
 
-    # numpy is imported here, so every seeded walk draws through it
+    import numpy  # so every seeded walk draws through it, whichever tests ran before
+
     assert not isinstance(seeded_stream(3, 1), Philox)
     through_numpy, tree = walks(), sample_tree(40, 2**64 + 3)
-    numpy = sys.modules["numpy"]
     monkeypatch.delitem(sys.modules, "numpy")  # as in a process that has not imported it
     assert isinstance(seeded_stream(3, NUMPY_DRAWS - 1), Philox)
     assert walks() == through_numpy and sample_tree(40, 2**64 + 3) == tree

@@ -8,10 +8,11 @@ import pytest
 from scipy.stats import chisquare
 
 from spn import sptree
-from spn.errors import SpnError
+from spn.errors import InstanceTooLargeError, SpnError
 from spn.linalg import det_symmetric
 from spn.rng import Philox, make_rng
 from spn.sptree import (
+    MAX_VERTICES,
     DichotomyResult,
     EdgeIndexing,
     EdgeLabeledGraph,
@@ -229,6 +230,13 @@ def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count):
         assert [next(walks).edges for _ in range(k)] == expected[:k]
         walks.close()
         assert (int(rng.integers(1 << 32)), rng.random(), int(rng.integers(m))) == after
+
+
+def test_vertex_count_is_capped_before_anything_is_built():
+    for call in (lambda m: count_consistent_trees(m, PartialAssignment({})), lambda m: iter_trees(m, 1, 0)):
+        with pytest.raises(InstanceTooLargeError, match=f"MAX_VERTICES = {MAX_VERTICES} "):
+            call(MAX_VERTICES + 1)
+    assert count_consistent_trees(MAX_VERTICES, PartialAssignment({})) == MAX_VERTICES ** (MAX_VERTICES - 2)
 
 
 def test_sample_trees_counts():
