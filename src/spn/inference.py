@@ -275,7 +275,7 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
     """
     steps, scope = handle.sampling_plan()
     rng = rng_or_seed
-    if not hasattr(rng, "random"):  # imported here, so normalize and partition do not load spn.rng
+    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.rng
         from .rng import seeded_stream
 
         rng = seeded_stream(rng_or_seed)

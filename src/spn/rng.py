@@ -3,13 +3,14 @@
 A seed names numpy's `Generator(Philox(SeedSequence(seed)))` stream.
 `make_rng(seed)` returns that Generator, importing numpy on the call, for
 callers that need its other methods; library calls given a Generator draw
-through numpy.  `seeded_stream` is the one place a seed becomes a stream:
-`Philox`, a pure-Python copy of the stream (defined in `spn.philox`,
-which is imported on the first use of the name) that saves numpy's
-import, unless numpy is imported already or the run expects
-`NUMPY_DRAWS` draws or more, when numpy's Generator, where a block draw
-costs about 0.15 us less, is used.  The values are the same either way.
-Identical seeds give identical streams across platforms."""
+through numpy.  `seeded_stream` is the one place a seed becomes a
+stream: numpy's Generator once numpy is imported, or when the run expects
+`NUMPY_DRAWS` draws or more (a block draw costs about 0.15 us less
+there), else `Philox`, a pure-Python copy of the stream (defined in
+`spn.philox`, which is imported on the first use of the name) that saves
+numpy's import.  The values are the same either way.  Identical seeds
+give identical streams across platforms.
+"""
 
 from __future__ import annotations
 

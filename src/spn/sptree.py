@@ -226,6 +226,7 @@ def iter_trees(m: int, count: int, rng_or_seed):
 
 
 def _walks(m: int, count: int, rng, block: int):
+    """The walks of `iter_trees`, their vertices drawn from `rng` `block` at a time."""
     row = _row_offsets(m)
     with block_integers(rng, m, block) as draws:
         for _ in range(count):
