@@ -21,6 +21,10 @@ from fractions import Fraction
 from . import __version__
 from .errors import InstanceTooLargeError, SpnError, TermExplosionError
 
+# most digits of an int a command parses or prints: the largest count `spn sptree count`
+# prints, K_m's m^(m-2) trees at m = sptree.MAX_VERTICES, has 14,790
+INT_DIGITS = 1 << 14
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -483,17 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact ints of any size parse and print while a command runs (the limit exists from 3.10.7)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
+    # ints of up to INT_DIGITS digits parse and print while a command runs (the limit exists
+    # from 3.10.7); a finite bound keeps parsing a huge literal from taking quadratic time
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = 0 < digits < INT_DIGITS
+    if lift:
+        sys.set_int_max_str_digits(INT_DIGITS)
     try:
         return args.func(args)
     except (SpnError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if digits is not None:
+        if lift:
             sys.set_int_max_str_digits(digits)
 
 

@@ -51,7 +51,12 @@ class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed"))
         the first malformed field."""
 
         def variable(key, where):
-            return int(key) if isinstance(key, str) and key.isdecimal() else _checked(key, int, where)
+            if isinstance(key, str) and key.isdecimal():
+                try:
+                    return int(key)
+                except ValueError:  # past the int/str digit limit: rejected below
+                    pass
+            return _checked(key, int, where)
 
         sets = _checked(integrate_over, dict, "integrate_over")
         fixed = _checked(fixed, dict, "fixed")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -716,9 +717,15 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
     big_root, big_key = tmp_path / "big_root.json", tmp_path / "big_key.json"
     big_root.write_text(serialize(_corpus_circuit()).replace('"root": ', '"root": ' + long_int, 1))
     big_key.write_text(json.dumps({"fixed": {long_int: 1}}))
+    # parsing a million digits would take seconds; the CLI's digit bound rejects it first
+    huge_root, huge_key = tmp_path / "huge_root.json", tmp_path / "huge_key.json"
+    huge_root.write_text(serialize(_corpus_circuit()).replace('"root": ', '"root": ' + "9" * 10**6, 1))
+    huge_key.write_text(json.dumps({"fixed": {"9" * 10**6: 1}}))
     cases = [
         (["check", str(big_root)], "root past the digit limit"),
+        (["check", str(huge_root)], "a million-digit root"),
         (["marginalize", "--query", str(big_key), str(path)], "query key past the digit limit"),
+        (["marginalize", "--query", str(huge_key), str(path)], "a million-digit query key"),
         (["sptree", "count", "--m", "1000000"], "K_1000000 has more than MAX_VERTICES = 4096 vertices"),
         (["sptree", "sample", "--m", "100000000", "--seed", "1"], "K_100000000 has more than MAX_VERTICES"),
         (["sample", "--seed", "-1", str(normalized)], "seed must be a non-negative integer, got -1"),
@@ -735,27 +742,33 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         cases += [([*args, str(path)], where) for args in commands]
     assert len(cases) > 400
     for args, label in cases:
+        start = time.perf_counter()
         rc, out, err = run(args)
+        elapsed = time.perf_counter() - start
         lines = err.splitlines()
         assert rc in (1, 2) and out == "", (label, args)
-        assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err)
+        assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err[:500])
+        assert elapsed < 2.0 and len(err) < 10_000, (label, args, elapsed, err[:500])
 
 
-def test_cli_prints_exact_ints_of_any_size(capsys):
+def test_cli_prints_exact_counts_up_to_max_vertices(capsys):
     from spn import cli
+    from spn.sptree import MAX_VERTICES
 
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("no int/str digit limit before Python 3.10.7")
     limit = sys.get_int_max_str_digits()
-    assert cli.main(["sptree", "count", "--m", "1500"]) == 0
-    assert sys.get_int_max_str_digits() == limit
-    count = re.search(r'"count": (\d+),', capsys.readouterr().out).group(1)
+    counts = []
+    for m in (1500, MAX_VERTICES):
+        assert cli.main(["sptree", "count", "--m", str(m)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        counts.append(re.search(r'"count": (\d+),', capsys.readouterr().out).group(1))
     try:
         sys.set_int_max_str_digits(0)
-        assert count == str(1500**1498)
+        assert counts == [str(1500**1498), str(MAX_VERTICES ** (MAX_VERTICES - 2))]
     finally:
         sys.set_int_max_str_digits(limit)
-    assert len(count) == 4758
+    assert [len(count) for count in counts] == [4758, 14790] and 14790 <= cli.INT_DIGITS
 
 
 DELETED = object()

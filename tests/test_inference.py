@@ -15,6 +15,7 @@ from spn.errors import (
     DomainError,
     NotDecomposableCompleteError,
     NotNormalizedError,
+    SerializationError,
     SpnError,
     UnknownVariableError,
     ZeroPartitionError,
@@ -76,6 +77,9 @@ def test_query_validation():
         apply_integration(c, {1: [5]})
     with pytest.raises(UnknownVariableError, match="unknown variable 9"):
         apply_integration(c, {9: [0]})
+    # a key past Python's 4,300-digit int/str limit fails like any other malformed key
+    with pytest.raises(SerializationError, match="fixed: expected an integer, got '9999"):
+        MarginalQuery.of({}, {"9" * 5000: 1})
 
 
 def test_marginalize_requires_dc_unless_forced():
