@@ -216,7 +216,11 @@ def iter_trees(m: int, count: int, rng_or_seed):
     `spn.rng.seeded_stream` picks.  `m`, `count` and the seed are checked
     on the call.  The draws come in blocks, yet the trees, and the state
     the stream is left in once the iterator is exhausted or closed, are
-    those of one scalar `integers(m)` call per step.
+    those of one scalar `integers(m)` call per step.  Until then the
+    stream is the iterator's: it stands up to a block ahead of the trees
+    yielded and is rewound on exit, so a caller must not draw from it in
+    between (those values would come again); draws the caller needs per
+    tree come from another stream.
     """
     _check_vertices(m)
     if count < 0:

@@ -232,6 +232,25 @@ def test_block_drawn_walks_leave_the_stream_of_scalar_draws(m, count):
         assert (int(rng.integers(1 << 32)), rng.random(), int(rng.integers(m))) == after
 
 
+def test_an_open_walk_holds_its_stream_until_closed():
+    # the iterator stands ahead of the trees it has yielded and rewinds on
+    # close, so a draw the caller takes from its stream in between is undone
+    # and its value comes again; per-tree draws come from another stream
+    m, seed = 12, 7
+    scalar = Philox.from_seed(seed)
+    expected = [reference_walk(m, scalar) for _ in range(2)]
+    rng, other = Philox.from_seed(seed), Philox.from_seed(seed + 1)
+    walks = iter_trees(m, 10, rng)
+    for tree in expected:
+        assert next(walks).edges == tree
+        other.random()
+    assert rng.state != scalar.state
+    undone = rng.random()
+    walks.close()
+    assert rng.state == scalar.state
+    assert undone in [rng.random() for _ in range(1000)]
+
+
 def test_vertex_count_is_capped_before_anything_is_built():
     for call in (lambda m: count_consistent_trees(m, PartialAssignment({})), lambda m: iter_trees(m, 1, 0)):
         with pytest.raises(InstanceTooLargeError, match=f"MAX_VERTICES = {MAX_VERTICES} "):
