@@ -141,8 +141,7 @@ class Circuit:
         self.root = root
         self.extended = extended
         self._validate()
-        self._scopes = None
-        self._plan = None
+        self._scopes = self._plan = self._reused = None
 
     @classmethod
     def _rebuilt(cls, source: "Circuit", leaf_functions: Sequence[LeafFunction], nodes: Sequence[Node], root: int):
@@ -150,7 +149,9 @@ class Circuit:
 
         The leaf functions that are `source`'s own objects, in their
         places, were checked when `source` was built and are not checked
-        again; the nodes and every other leaf function are.
+        again; the nodes and every other leaf function are.  The eval plan
+        starts from `source`'s position maps and its tables of those leaf
+        functions, where `source` has them.
         """
         self = cls.__new__(cls)
         self.variables, self.leaf_functions, self.nodes = source.variables, tuple(leaf_functions), tuple(nodes)
@@ -161,8 +162,9 @@ class Circuit:
                 break
             checked += 1
         self._validate(checked)
-        self._scopes = None
-        self._plan = None
+        parts = source._reused if source._plan is None else source._plan[1:]
+        self._scopes = self._plan = None
+        self._reused = parts and (parts[0], parts[1][:checked])
         return self
 
     # -- validation ------------------------------------------------------
@@ -277,23 +279,29 @@ class Circuit:
 
     def _eval_plan(self):
         # Compiled once per circuit: per node an instruction with integral
-        # Fractions unwrapped to ints and leaf tables as tuples indexed by
-        # domain position, plus per variable a map value -> (position,).
+        # Fractions unwrapped to ints, per leaf function its table as a
+        # tuple indexed by domain position (None until a node reads it),
+        # and per variable a map value -> (position,).  A rebuilt circuit
+        # starts from the maps and tables `_rebuilt` kept of its source.
         if self._plan is None:
+            positions, tables = self._reused or (None, [])
+            tables = tables + [None] * (len(self.leaf_functions) - len(tables))
             steps = []
             for node in self.nodes:
                 if isinstance(node, LeafNode):
                     f = self.leaf_functions[node.leaf_function]
-                    domain = self.variables[f.variable].domain
-                    steps.append(("leaf", f.variable, tuple(_fast(f.table[x]) for x in domain)))
+                    if tables[f.id] is None:
+                        tables[f.id] = tuple(_fast(f.table[x]) for x in self.variables[f.variable].domain)
+                    steps.append(("leaf", f.variable, tables[f.id]))
                 elif isinstance(node, ConstantNode):
                     steps.append(("const", _fast(node.value), None))
                 elif isinstance(node, SumNode):
                     steps.append(("sum", list(zip(node.children, map(_fast, node.weights))), None))
                 else:
                     steps.append(("prod", node.children, None))
-            positions = [{_fast(x): (i,) for i, x in enumerate(v.domain)} for v in self.variables]
-            self._plan = (steps, positions)
+            if positions is None:
+                positions = [{_fast(x): (i,) for i, x in enumerate(v.domain)} for v in self.variables]
+            self._plan, self._reused = (steps, positions, tables), None
         return self._plan
 
     def _normalize_assignment(self, assignment) -> Mapping:

@@ -68,11 +68,13 @@ def scaled_row(row) -> tuple[list[int], int]:
     """(integers, q) with row == integers / q, q the lcm of the entries' denominators.
 
     Entries may be ints, Fractions, 'p/q' strings or floats (converted
-    exactly); plain ints are used as they are.
+    exactly); plain ints are used as they are.  Each entry is read once,
+    by `as_integer_ratio()`, which is cheaper than Fraction's
+    `numerator` and `denominator` properties.
     """
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    q = lcm(*(x.denominator for x in row))
-    return [x.numerator * (q // x.denominator) for x in row], q
+    pairs = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in row]
+    q = lcm(*[d for _, d in pairs])
+    return [p * (q // d) for p, d in pairs], q
 
 
 def exact_rank(matrix) -> int:

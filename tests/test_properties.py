@@ -14,8 +14,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.circuit import Circuit, ConstantNode, LeafFunction, ProductNode, SumNode, deserialize, serialize
-from spn.errors import SpnError, ZeroCircuitError, ZeroPartitionError
+from spn.circuit import Circuit, ConstantNode, LeafFunction, ProductNode, SumNode, VariableSpec, deserialize, serialize
+from spn.errors import DomainError, SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
     MarginalQuery,
@@ -29,7 +29,7 @@ from spn.linalg import det_symmetric, integer_rank
 from spn.machines import Fpssm, compile_fpssm, eval_fpssm
 from spn.polynomial import expand
 from spn.rng import make_rng
-from spn.separation import binarize_products, decompose, perturbation_rank_bound
+from spn.separation import binarize_products, circuit_evaluator, comm_matrix, decompose, perturbation_rank_bound
 from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
 from spn.structure import (
     brute_force_validity,
@@ -173,6 +173,63 @@ def test_tabulate_matches_point_passes(seed):
                 selection[v] = positions
             expected = c.evaluate_selection(selection)[node]
             assert cell == expected and type(cell) is type(expected)
+
+
+def with_random_domains(c, rng):
+    """The same nodes over new domains, each leaf table keeping its values
+    by position, plus sometimes a variable no leaf reads.  A variable's
+    domain is its own in random order or, one time in four, 1 to |domain|
+    distinct values of 0..3 (so it may lack 0 or 1)."""
+
+    def draw(k):
+        size = k if rng.random() < 0.75 else int(rng.integers(1, k + 1))
+        return tuple(int(x) for x in rng.choice(k if size == k else 4, size=size, replace=False))
+
+    domains = [draw(len(v.domain)) for v in c.variables]
+    if rng.random() < 0.3:
+        domains.append(draw(3))
+    variables = [VariableSpec(v, domain) for v, domain in enumerate(domains)]
+    fns = [
+        LeafFunction(f.id, f.variable, dict(zip(domains[f.variable], map(f.table.get, c.variables[f.variable].domain))))
+        for f in c.leaf_functions
+    ]
+    return Circuit(variables, fns, c.nodes, c.root, c.extended)
+
+
+@settings(PROFILE, max_examples=150)
+@given(seeds)
+def test_comm_matrix_of_circuit_evaluator_matches_point_evaluation(seed):
+    # random blocks interleave variable ids and may be empty; a point with a
+    # bit outside a domain raises DomainError on both sides, at the same point
+    rng = make_rng(seed)
+    if rng.random() < 0.5:
+        c = random_free_circuit(rng, max_vars=4, max_domain=3, max_size=15)
+    else:
+        c = random_dc_circuit(rng, n=int(rng.integers(2, 5)), domain_size=int(rng.integers(2, 4)), max_size=20)
+    c = with_random_domains(with_fraction_values(c, rng), rng)
+    n = len(c.variables)
+    ids = [int(v) for v in rng.permutation(n)]
+    cut = int(rng.integers(0, n + 1))
+    block_a, block_b = sorted(ids[:cut]), sorted(ids[cut:])
+    expected, error = [], None
+    try:
+        for row in range(1 << len(block_a)):
+            expected.append([])
+            for col in range(1 << len(block_b)):
+                point = {v: (row >> i) & 1 for i, v in enumerate(block_a)}
+                point.update({v: (col >> i) & 1 for i, v in enumerate(block_b)})
+                expected[-1].append(c.evaluate(point))
+    except DomainError as exc:
+        error = str(exc)
+    if error is not None:
+        with pytest.raises(DomainError) as raised:
+            comm_matrix(circuit_evaluator(c), n, (ids[:cut], ids[cut:]))
+        assert str(raised.value) == error
+        return
+    m = comm_matrix(circuit_evaluator(c), n, (ids[:cut], ids[cut:]))
+    assert (m.block_a, m.block_b) == (tuple(block_a), tuple(block_b))
+    assert [list(row) for row in m.entries] == expected
+    assert [list(map(type, row)) for row in m.entries] == [list(map(type, row)) for row in expected]
 
 
 def perturbation_entry(rng):

@@ -1,5 +1,7 @@
 """Communication matrices, exact rank, the perturbation bound, decomposition."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -305,6 +307,21 @@ def test_circuit_evaluator_outside_the_domain():
     c = b.build(b.product([b.leaf(b.leaf_function(x, {1: 1, 2: 3})) for x in xs]))
     with pytest.raises(DomainError, match="value 0 not in domain of variable 0"):
         comm_matrix(circuit_evaluator(c), 2, half_partition(2))
+
+
+def test_circuit_evaluator_holds_no_per_point_table():
+    # the table of 2^16 values plus two dicts of 2^8 keys; a dict keyed by
+    # whole points would hold 2^16 tuples of 16 bits, over 10 MiB
+    fn = circuit_evaluator(build_equal(16))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert fn((0,) * 16) == 1
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
 
 
 def test_tabulate_caps_its_grid():

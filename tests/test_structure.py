@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest.mock import patch
 
 import pytest
 
-from spn.circuit import Circuit, CircuitBuilder, LeafFunction, LeafNode, ProductNode, SumNode
+from spn.circuit import Circuit, CircuitBuilder, ConstantNode, LeafFunction, LeafNode, ProductNode, SumNode, _fast
 from spn.errors import (
     DegenerateCircuitError,
     DomainError,
@@ -142,6 +143,38 @@ def test_rewrite_checks_added_leaf_functions():
     with pytest.raises(DomainError):
         rewrite(c, keep, [LeafFunction(0, 0, short.table)] + fns[1:])
     assert rewrite(c, keep, fns + [LeafFunction(len(fns), 0, {Fraction(0): 1, Fraction(1): 1})])
+
+
+def test_rewrite_reuses_the_kept_leaf_tables():
+    # a rewritten circuit's eval plan takes its source's position maps and
+    # tables of the kept leaf functions, also through a second rewrite of a
+    # circuit never evaluated: only weights, constants and the added leaf
+    # function's table are converted
+    c = build_equal(4)
+    point = [1, 0, 1, 1]
+    c.evaluate(point)
+    fns = list(c.leaf_functions)
+    added = LeafFunction(len(fns), 0, {Fraction(0): Fraction(3), Fraction(1): Fraction(1, 2)})
+    first_leaf = next(node.id for node in c.nodes if isinstance(node, LeafNode))
+    swap = lambda node, new, emit: emit(LeafNode, added.id) if node.id == first_leaf else node
+    converted = []
+
+    def counting(value):
+        converted.append(value)
+        return _fast(value)
+
+    with patch("spn.circuit._fast", counting):
+        once = rewrite(c, swap, fns + [added])
+        twice = rewrite(once, lambda node, new, emit: node)
+        value = twice.evaluate(point)
+    rebuilt = Circuit(twice.variables, twice.leaf_functions, twice.nodes, twice.root)
+    assert value == rebuilt.evaluate(point) and type(value) is type(rebuilt.evaluate(point))
+    weights = sum(len(node.weights) for node in twice.nodes if isinstance(node, SumNode))
+    constants = sum(isinstance(node, ConstantNode) for node in twice.nodes)
+    assert len(converted) == weights + constants + len(added.table)
+    ours, theirs = twice._eval_plan(), c._eval_plan()
+    assert ours[1] is theirs[1]
+    assert all(ours[2][j] is theirs[2][j] for j in range(len(fns)) if theirs[2][j] is not None)
 
 
 def test_prune_fixed_point_on_clean_circuit():
