@@ -5,7 +5,8 @@ order over finite discrete variables.  Leaf nodes compute univariate
 functions given as tables over their variable's domain; sum edges carry
 weights.  Monotone circuits (the default) require all weights, constants
 and leaf values to be non-negative; the `extended` flag lifts that
-restriction.  All arithmetic is exact: values are Python ints/Fractions.
+restriction.  All arithmetic is exact: every value is an int when it is
+integral and a Fraction otherwise, from construction on (see `as_rational`).
 
 Circuits are immutable after construction and safe to share across
 threads for evaluation and analysis.
@@ -37,15 +38,19 @@ Rational = Union[int, Fraction]
 MAX_TABLE_CELLS = 1 << 24  # the most grid points `Circuit.tabulate` fills: what comm_matrix can ask for
 
 
+def as_rational(value) -> Rational:
+    """Coerce ints, Fractions and 'p/q' strings to the IR's exact form: an
+    int when integral, a Fraction otherwise."""
+    if isinstance(value, str):
+        value = _parse_rational(value)
+    elif not isinstance(value, (int, Fraction)):
+        raise DomainError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return _parse_rational(value)
-    raise DomainError(f"not an exact rational: {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(as_rational(value))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -56,20 +61,17 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value) -> str:
-    """Render a rational as 'p' or 'p/q' for JSON documents."""
-    return str(as_fraction(value))
-
-
-def _fast(value: Fraction):
-    # Unwrap integral Fractions so hot loops run on plain ints.
-    if value.denominator == 1:
-        return value.numerator
-    return value
+def _canonical(values) -> bool:
+    """Whether every value is in the IR's exact form (see `as_rational`)."""
+    for x in values:  # a loop, not all(...): it runs per record and a generator costs 3x here
+        if x.__class__ is not int and (x.__class__ is not Fraction or x.denominator == 1):
+            return False
+    return True
 
 
 class VariableSpec(Record, namedtuple("VariableSpec", "id domain")):
-    """A variable with a finite ordered domain (a tuple) of distinct rationals."""
+    """A variable with a finite ordered domain (a tuple) of distinct rationals,
+    each an int or a Fraction."""
 
     __slots__ = ()
 
@@ -88,7 +90,7 @@ class VariableSpec(Record, namedtuple("VariableSpec", "id domain")):
 
 class LeafFunction(Record, namedtuple("LeafFunction", "id variable table name", defaults=(None,))):
     """A univariate function of one variable, given as a table over its domain
-    (a dict value -> Fraction), with an optional name."""
+    (a dict value -> int or Fraction), with an optional name."""
 
     __slots__ = ()
 
@@ -124,8 +126,21 @@ def node_children(node: Node) -> tuple[int, ...]:
     return ()
 
 
+def _canonical_node(node: Node) -> Node:
+    """`node`, or a copy with its constant or weights in exact form (see `as_rational`)."""
+    if isinstance(node, ConstantNode) and not _canonical((node.value,)):
+        return ConstantNode(node.id, as_rational(node.value))
+    if isinstance(node, SumNode) and not _canonical(node.weights):
+        return SumNode(node.id, node.children, tuple(map(as_rational, node.weights)))
+    return node
+
+
 class Circuit:
-    """Immutable arithmetic circuit over finite discrete variables."""
+    """Immutable arithmetic circuit over finite discrete variables.
+
+    Each value is held as `as_rational` gives it: a record holding a value
+    in another exact form (an integral Fraction, a bool, a 'p/q' string) is
+    replaced by a converted copy, and the others are kept."""
 
     def __init__(
         self,
@@ -135,47 +150,28 @@ class Circuit:
         root: int,
         extended: bool = False,
     ):
-        self.variables = tuple(variables)
-        self.leaf_functions = tuple(leaf_functions)
-        self.nodes = tuple(nodes)
+        self.variables = tuple(
+            v if _canonical(v.domain) else VariableSpec(v.id, tuple(map(as_rational, v.domain))) for v in variables
+        )
+        self.leaf_functions = tuple(
+            f if _canonical((*f.table, *f.table.values()))
+            else LeafFunction(f.id, f.variable, {as_rational(k): as_rational(x) for k, x in f.table.items()}, f.name)
+            for f in leaf_functions
+        )
+        self.nodes = tuple(map(_canonical_node, nodes))
         self.root = root
         self.extended = extended
         self._validate()
-        self._scopes = self._plan = self._reused = None
-
-    @classmethod
-    def _rebuilt(cls, source: "Circuit", leaf_functions: Sequence[LeafFunction], nodes: Sequence[Node], root: int):
-        """A circuit over `source`'s variables with new nodes (see structure.rewrite).
-
-        The leaf functions that are `source`'s own objects, in their
-        places, were checked when `source` was built and are not checked
-        again; the nodes and every other leaf function are.  The eval plan
-        starts from `source`'s position maps and its tables of those leaf
-        functions, where `source` has them.
-        """
-        self = cls.__new__(cls)
-        self.variables, self.leaf_functions, self.nodes = source.variables, tuple(leaf_functions), tuple(nodes)
-        self.root, self.extended = root, source.extended
-        checked = 0
-        for mine, theirs in zip(self.leaf_functions, source.leaf_functions):
-            if mine is not theirs:
-                break
-            checked += 1
-        self._validate(checked)
-        parts = source._reused if source._plan is None else source._plan[1:]
         self._scopes = self._plan = None
-        self._reused = parts and (parts[0], parts[1][:checked])
-        return self
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self, checked: int = 0):
-        # Leaf functions before index `checked` were checked with the same variables.
+    def _validate(self):
         # Values are ints and Fractions: the sign of `x.numerator` skips Fraction's comparison protocol.
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise CircuitStructureError(f"variable ids must be 0..n-1, got {v.id} at {i}")
-        for i, f in enumerate(self.leaf_functions[checked:], checked):
+        for i, f in enumerate(self.leaf_functions):
             if f.id != i:
                 raise CircuitStructureError(f"leaf-function ids must be dense, got {f.id} at {i}")
             if not (0 <= f.variable < len(self.variables)):
@@ -278,30 +274,26 @@ class Circuit:
     # -- evaluation ------------------------------------------------------
 
     def _eval_plan(self):
-        # Compiled once per circuit: per node an instruction with integral
-        # Fractions unwrapped to ints, per leaf function its table as a
-        # tuple indexed by domain position (None until a node reads it),
-        # and per variable a map value -> (position,).  A rebuilt circuit
-        # starts from the maps and tables `_rebuilt` kept of its source.
+        # Compiled once per circuit: per node an instruction, per leaf
+        # function its table as a tuple indexed by domain position (None
+        # until a node reads it), and per variable a map value -> (position,).
         if self._plan is None:
-            positions, tables = self._reused or (None, [])
-            tables = tables + [None] * (len(self.leaf_functions) - len(tables))
+            tables = [None] * len(self.leaf_functions)
             steps = []
             for node in self.nodes:
                 if isinstance(node, LeafNode):
                     f = self.leaf_functions[node.leaf_function]
                     if tables[f.id] is None:
-                        tables[f.id] = tuple(_fast(f.table[x]) for x in self.variables[f.variable].domain)
+                        tables[f.id] = tuple(map(f.table.__getitem__, self.variables[f.variable].domain))
                     steps.append(("leaf", f.variable, tables[f.id]))
                 elif isinstance(node, ConstantNode):
-                    steps.append(("const", _fast(node.value), None))
+                    steps.append(("const", node.value, None))
                 elif isinstance(node, SumNode):
-                    steps.append(("sum", list(zip(node.children, map(_fast, node.weights))), None))
+                    steps.append(("sum", list(zip(node.children, node.weights)), None))
                 else:
                     steps.append(("prod", node.children, None))
-            if positions is None:
-                positions = [{_fast(x): (i,) for i, x in enumerate(v.domain)} for v in self.variables]
-            self._plan, self._reused = (steps, positions, tables), None
+            positions = [{x: (i,) for i, x in enumerate(v.domain)} for v in self.variables]
+            self._plan = (steps, positions, tables)
         return self._plan
 
     def _normalize_assignment(self, assignment) -> Mapping:
@@ -534,12 +526,12 @@ class CircuitBuilder:
 
     def variable(self, domain: Iterable) -> int:
         vid = len(self._variables)
-        self._variables.append(VariableSpec(vid, tuple(as_fraction(v) for v in domain)))
+        self._variables.append(VariableSpec(vid, tuple(map(as_rational, domain))))
         return vid
 
     def leaf_function(self, variable: int, table: Mapping, name: str | None = None) -> int:
         fid = len(self._leaf_functions)
-        tbl = {as_fraction(k): as_fraction(v) for k, v in table.items()}
+        tbl = {as_rational(k): as_rational(v) for k, v in table.items()}
         self._leaf_functions.append(LeafFunction(fid, variable, tbl, name))
         return fid
 
@@ -550,12 +542,12 @@ class CircuitBuilder:
 
     def constant(self, value) -> int:
         nid = len(self._nodes)
-        self._nodes.append(ConstantNode(nid, as_fraction(value)))
+        self._nodes.append(ConstantNode(nid, as_rational(value)))
         return nid
 
     def sum(self, weighted_children: Iterable[tuple[int, object]]) -> int:
         nid = len(self._nodes)
-        pairs = [(c, as_fraction(w)) for c, w in weighted_children]
+        pairs = [(c, as_rational(w)) for c, w in weighted_children]
         self._nodes.append(
             SumNode(nid, tuple(c for c, _ in pairs), tuple(w for _, w in pairs))
         )
@@ -579,21 +571,21 @@ def to_json_dict(circuit: Circuit) -> dict:
         if isinstance(node, LeafNode):
             nodes.append({"id": node.id, "kind": "leaf", "leaf_function": node.leaf_function})
         elif isinstance(node, ConstantNode):
-            nodes.append({"id": node.id, "kind": "constant", "value": format_rational(node.value)})
+            nodes.append({"id": node.id, "kind": "constant", "value": str(node.value)})
         elif isinstance(node, SumNode):
             nodes.append(
                 {
                     "id": node.id,
                     "kind": "sum",
                     "children": list(node.children),
-                    "weights": [format_rational(w) for w in node.weights],
+                    "weights": [str(w) for w in node.weights],
                 }
             )
         else:
             nodes.append({"id": node.id, "kind": "product", "children": list(node.children)})
     return {
         "variables": [
-            {"id": v.id, "domain": [format_rational(x) for x in v.domain]}
+            {"id": v.id, "domain": [str(x) for x in v.domain]}
             for v in circuit.variables
         ],
         "leaf_functions": [
@@ -601,7 +593,7 @@ def to_json_dict(circuit: Circuit) -> dict:
                 "id": f.id,
                 "variable": f.variable,
                 "table": {
-                    format_rational(k): format_rational(f.table[k])
+                    str(k): str(f.table[k])
                     for k in circuit.variables[f.variable].domain
                 },
                 **({"name": f.name} if f.name else {}),
@@ -618,8 +610,9 @@ _JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an o
 
 
 def _checked(value, kind: type, where: str, *where_args):
-    """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, converted;
-    list: a list or, from Python callers, a tuple that is not a record).
+    """`value` as JSON type `kind` (Fraction: an int or 'p/q' string, as
+    `as_rational` converts it; list: a list or, from Python callers, a tuple
+    that is not a record).
 
     Raises SerializationError naming the document path `where` otherwise,
     `where % where_args` when arguments are given, so a path is formatted
@@ -628,7 +621,7 @@ def _checked(value, kind: type, where: str, *where_args):
     if kind is Fraction:
         if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
             try:
-                return as_fraction(value)
+                return as_rational(value)
             except (ValueError, ZeroDivisionError):
                 pass
     elif kind is list:

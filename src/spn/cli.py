@@ -147,33 +147,30 @@ def cmd_check(args):
 
 
 def cmd_eval(args):
-    from .circuit import format_rational
-
     circuit = _load_circuit(args.circuit)
     value = circuit.evaluate(_parse_assignment(args.assign))
-    _emit_report(args, "eval", {"value": format_rational(value)})
+    _emit_report(args, "eval", {"value": str(value)})
     return 0
 
 
 def cmd_marginalize(args):
-    from .circuit import _checked, format_rational
+    from .circuit import _checked
     from .inference import MarginalQuery, marginalize
 
     circuit = _load_circuit(args.circuit)
     doc = _checked(json.loads(_read_text(args.query)), dict, "query document")
     query = MarginalQuery.of(doc.get("integrate_over", {}), doc.get("fixed", {}))
     value = marginalize(circuit, query, force=args.force)
-    _emit_report(args, "marginalize", {"value": format_rational(value)})
+    _emit_report(args, "marginalize", {"value": str(value)})
     return 0
 
 
 def cmd_partition(args):
-    from .circuit import format_rational
     from .inference import partition_function
 
     circuit = _load_circuit(args.circuit)
     z = partition_function(circuit, force=args.force)
-    _emit_report(args, "partition", {"partition_function": format_rational(z)})
+    _emit_report(args, "partition", {"partition_function": str(z)})
     return 0
 
 
@@ -187,7 +184,6 @@ def cmd_normalize(args):
 
 
 def cmd_sample(args):
-    from .circuit import format_rational
     from .inference import DistributionHandle, sample
     from .rng import seeded_stream
 
@@ -195,14 +191,11 @@ def cmd_sample(args):
     handle = DistributionHandle(circuit)
     rng = seeded_stream(args.seed)
     variables = sorted(circuit.dependency_scope())
-    # Each domain value formatted once.  `sample` draws the domain's own
-    # objects, so the maps are keyed by identity: hashing a Fraction costs
-    # more than formatting it.
-    text = [{id(x): format_rational(x) for x in circuit.variables[v].domain} for v in variables]
+    text = [{x: str(x) for x in circuit.variables[v].domain} for v in variables]  # each value formatted once
     lines = []
     for _ in range(args.count):
         assignment = sample(handle, rng)
-        lines.append(",".join([t[id(assignment[v])] for v, t in zip(variables, text)]) + "\n")
+        lines.append(",".join([t[assignment[v]] for v, t in zip(variables, text)]) + "\n")
     _write_text(args.output, "".join(lines))
     return 0
 
@@ -248,7 +241,6 @@ def cmd_rank(args):
 
 
 def cmd_decompose(args):
-    from .circuit import format_rational
     from .separation import decompose
 
     circuit = _load_circuit(args.circuit)
@@ -260,11 +252,11 @@ def cmd_decompose(args):
                 "y": list(t.y_vars),
                 "z": list(t.z_vars),
                 "g_table": {
-                    ",".join(map(format_rational, key)): format_rational(val)
+                    ",".join(map(str, key)): str(val)
                     for key, val in sorted(t.g_table.items())
                 },
                 "h_table": {
-                    ",".join(map(format_rational, key)): format_rational(val)
+                    ",".join(map(str, key)): str(val)
                     for key, val in sorted(t.h_table.items())
                 },
             }

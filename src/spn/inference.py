@@ -22,6 +22,7 @@ from .circuit import (
     LeafFunction,
     LeafNode,
     ProductNode,
+    Rational,
     SumNode,
     _array,
     _checked,
@@ -40,7 +41,7 @@ from .structure import is_dc, rewrite
 
 class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed")):
     """Integration sets for some variables, fixed values for the rest: dicts
-    variable -> tuple of Fractions and variable -> Fraction."""
+    variable -> tuple of values and variable -> value, ints or Fractions."""
 
     __slots__ = ()
 
@@ -179,14 +180,16 @@ def normalize_weights(circuit: Circuit) -> Circuit:
         if z[node.id] == 0:
             return None
         if isinstance(node, SumNode):
-            return emit(SumNode, ((new[c], w * z[c] / z[node.id]) for c, w in zip(node.children, node.weights)))
-        return emit(ConstantNode, Fraction(1)) if isinstance(node, ConstantNode) else node
+            edges = zip(node.children, node.weights)
+            return emit(SumNode, ((new[c], Fraction(w * z[c], z[node.id])) for c, w in edges))
+        return emit(ConstantNode, 1) if isinstance(node, ConstantNode) else node
 
     new_fns = []
     for f in circuit.leaf_functions:
         total = sum(f.table.values())
-        table = {k: v / total for k, v in f.table.items()} if total else f.table
-        new_fns.append(LeafFunction(f.id, f.variable, table, f.name))
+        if total != 0 and total != 1:
+            f = LeafFunction(f.id, f.variable, {k: Fraction(v, total) for k, v in f.table.items()}, f.name)
+        new_fns.append(f)
     return rewrite(circuit, rule, new_fns)
 
 
@@ -267,7 +270,7 @@ class DistributionHandle:
         return self._plan
 
 
-def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
+def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Rational]:
     """Draw one assignment top-down from a weight-normalized D&C circuit.
 
     Sum nodes choose one child with probability equal to the edge weight,
@@ -284,7 +287,7 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Fraction]:
         from .rng import seeded_stream
 
         rng = seeded_stream(rng_or_seed)
-    assignment: dict[int, Fraction] = {}
+    assignment: dict[int, Rational] = {}
     stack = [handle.circuit.root]
     while stack:
         kind, var, thresholds, choices = steps[stack.pop()]

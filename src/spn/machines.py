@@ -14,12 +14,24 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .circuit import Circuit, CircuitBuilder, ConstantNode, _array, _checked, _field, as_fraction
-from .errors import DomainError, SerializationError, SpnError
+from .circuit import Circuit, CircuitBuilder, ConstantNode, Rational, _array, _checked, _field, as_rational
+from .errors import DomainError, InstanceTooLargeError, SerializationError, SpnError
 from .records import Record
 from .structure import excise
 
-BINARY = (Fraction(0), Fraction(1))
+BINARY = (0, 1)
+# The built-in machines and `fpssm_to_fplm` raise InstanceTooLargeError,
+# before building anything, past MAX_ONE_HOT_CELLS one-hot matrix cells
+# (n * |D| * k^2: one k x k matrix per domain value), and `build_equal` past MAX_EQUAL_N inputs.
+MAX_ONE_HOT_CELLS = 1 << 18
+MAX_EQUAL_N = 1 << 14
+
+
+def _check_one_hot_cells(values: int, k: int):
+    # `values` domain values over all variables, k states
+    cells = values * k * k
+    if cells > MAX_ONE_HOT_CELLS:
+        raise InstanceTooLargeError(f"one-hot embedding of {cells} cells exceeds {MAX_ONE_HOT_CELLS}")
 
 
 def _table_entries(n, order, domains, tables, what) -> list[tuple[int, object]]:
@@ -85,13 +97,13 @@ class Fplm(Record, namedtuple("Fplm", "n order dim a b matrices domains")):
 
 
 def _lookup(domains, i, value):
-    value = as_fraction(value)
+    value = as_rational(value)
     if value not in domains[i]:
         raise DomainError(f"value {value} not in domain of variable {i}")
     return value
 
 
-def eval_fpssm(m: Fpssm, x) -> Fraction:
+def eval_fpssm(m: Fpssm, x) -> Rational:
     """Run the state iteration on a full assignment (sequence indexed by variable)."""
     s = m.initial_state
     for i in m.order:
@@ -99,7 +111,7 @@ def eval_fpssm(m: Fpssm, x) -> Fraction:
     return m.decode[s]
 
 
-def eval_fplm(m: Fplm, x) -> Fraction:
+def eval_fplm(m: Fplm, x) -> Rational:
     """Multiply out the matrix chain on a full assignment."""
     v = list(m.a)
     k = m.dim
@@ -112,14 +124,15 @@ def eval_fplm(m: Fplm, x) -> Fraction:
 def fpssm_to_fplm(m: Fpssm) -> Fplm:
     """One-hot embedding: a = e_init, column-selector matrices, b = decode."""
     k = m.state_size
-    a = tuple(Fraction(1 if s == m.initial_state else 0) for s in range(k))
+    _check_one_hot_cells(sum(map(len, m.domains)), k)
+    a = tuple(int(s == m.initial_state) for s in range(k))
     matrices = []
     for i in range(m.n):
         per_value = {}
         for value in m.domains[i]:
             nxt = m.transitions[i][value]
             per_value[value] = tuple(
-                tuple(Fraction(1 if nxt[c] == r else 0) for c in range(k)) for r in range(k)
+                tuple(int(nxt[c] == r) for c in range(k)) for r in range(k)
             )
         matrices.append(per_value)
     return Fplm(
@@ -170,7 +183,7 @@ def fplm_to_spn(m: Fplm) -> Circuit:
         working = new_working
     outputs = [(w, x) for w, x in zip(working, m.b) if w is not None and x]
     if not outputs:  # zero everywhere: a constant-0 root and no leaf functions
-        return Circuit(b._variables, (), [ConstantNode(0, Fraction(0))], 0)
+        return Circuit(b._variables, (), [ConstantNode(0, 0)], 0)
     return excise(b.build(b.sum(outputs)), [])
 
 
@@ -179,36 +192,30 @@ def fplm_to_spn(m: Fplm) -> Circuit:
 
 def count_ones_machine(n: int) -> Fpssm:
     """States 0..n counting inputs equal to one; decode is the count itself."""
-    transitions = tuple(
-        {
-            Fraction(0): tuple(range(n + 1)),
-            Fraction(1): tuple(min(s + 1, n) for s in range(n + 1)),
-        }
-        for _ in range(n)
-    )
+    _check_one_hot_cells(2 * n, n + 1)
+    transitions = tuple({0: tuple(range(n + 1)), 1: tuple(min(s + 1, n) for s in range(n + 1))} for _ in range(n))
     return Fpssm(
         n=n,
         order=tuple(range(n)),
         state_size=n + 1,
         initial_state=0,
         transitions=transitions,
-        decode=tuple(Fraction(s) for s in range(n + 1)),
+        decode=tuple(range(n + 1)),
         domains=tuple(BINARY for _ in range(n)),
     )
 
 
 def parity_machine(n: int) -> Fpssm:
     """Two states tracking the count of ones modulo two."""
-    transitions = tuple(
-        {Fraction(0): (0, 1), Fraction(1): (1, 0)} for _ in range(n)
-    )
+    _check_one_hot_cells(2 * n, 2)
+    transitions = tuple({0: (0, 1), 1: (1, 0)} for _ in range(n))
     return Fpssm(
         n=n,
         order=tuple(range(n)),
         state_size=2,
         initial_state=0,
         transitions=transitions,
-        decode=(Fraction(0), Fraction(1)),
+        decode=(0, 1),
         domains=tuple(BINARY for _ in range(n)),
     )
 
@@ -216,14 +223,13 @@ def parity_machine(n: int) -> Fpssm:
 def majority_machine(n: int) -> Fpssm:
     """Counts ones in states 0..n and decodes to one iff the count reaches n/2."""
     base = count_ones_machine(n)
-    threshold = Fraction(n, 2)
     return Fpssm(
         n=n,
         order=base.order,
         state_size=base.state_size,
         initial_state=0,
         transitions=base.transitions,
-        decode=tuple(Fraction(1 if s >= threshold else 0) for s in range(n + 1)),
+        decode=tuple(int(2 * s >= n) for s in range(n + 1)),
         domains=base.domains,
     )
 
@@ -254,6 +260,8 @@ def build_equal(n: int) -> Circuit:
     i + n/2, layer three sums each pair of products, and layer four takes
     the product over all positions.  Size is linear in n.
     """
+    if n > MAX_EQUAL_N:
+        raise InstanceTooLargeError(f"equal of {n} inputs exceeds {MAX_EQUAL_N}")
     if n % 2 or n <= 0:
         raise SpnError("input size must be even and positive")
     half = n // 2

@@ -248,7 +248,7 @@ def decompose(circuit: Circuit) -> Decomposition:
         grid, keys = _grid(work, y_vars)
         g_table = dict(zip(keys, map(Fraction, work.tabulate(grid, node))))
 
-        pinned_one = rewrite(work, lambda nd, new, emit: emit(ConstantNode, Fraction(1)) if nd.id == node else nd)
+        pinned_one = rewrite(work, lambda nd, new, emit: emit(ConstantNode, 1) if nd.id == node else nd)
         try:
             pinned_zero = excise(work, [node])
         except ZeroCircuitError:

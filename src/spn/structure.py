@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 from .circuit import (
@@ -125,9 +124,8 @@ def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
     zero and is zero without edges.  Only what the new root reaches is
     built, in emission order under dense ids.  Variables and leaf-function
     ids (so output monomials) are kept; a rule may extend `leaf_functions`,
-    which then replaces the list.  The new nodes and the added leaf
-    functions are checked, the kept leaf functions are not again.  Raises
-    ZeroCircuitError if the root dies.
+    which then replaces the list, and the result is checked as any
+    `Circuit` is.  Raises ZeroCircuitError if the root dies.
     """
     new, spec = [None] * len(circuit.nodes), []
 
@@ -170,7 +168,7 @@ def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
             if kind is SumNode or kind is ProductNode:
                 a = tuple(map(ids.__getitem__, a))
             nodes.append(SumNode(ids[i], a, b) if kind is SumNode else kind(ids[i], a))
-    return Circuit._rebuilt(circuit, leaf_functions or circuit.leaf_functions, nodes, ids[root])
+    return Circuit(circuit.variables, leaf_functions or circuit.leaf_functions, nodes, ids[root], circuit.extended)
 
 
 def prune_degenerate(circuit: Circuit) -> Circuit:
@@ -226,7 +224,7 @@ def complete_transform(circuit: Circuit) -> Circuit:
             missing = scopes[node.id] - scopes[c]
             if missing and (c, missing) not in wrap_cache:
                 for v in sorted(missing - one_node.keys()):
-                    table = dict.fromkeys(circuit.variables[v].domain, Fraction(1))
+                    table = dict.fromkeys(circuit.variables[v].domain, 1)
                     fns.append(LeafFunction(len(fns), v, table, f"one_x{v}"))
                     one_node[v] = emit(LeafNode, len(fns) - 1)
                 wrap_cache[c, missing] = emit(ProductNode, [new[c]] + [one_node[v] for v in sorted(missing)])

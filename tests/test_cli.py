@@ -1,7 +1,9 @@
 """End-to-end command-line checks: piping, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 
 from spn.circuit import Circuit, CircuitBuilder, deserialize, serialize
 from spn.inference import normalize_weights
-from spn.machines import build_equal, compile_fpssm, majority_machine, parity_machine
+from spn.machines import MAX_EQUAL_N, MAX_ONE_HOT_CELLS, build_equal, compile_fpssm, majority_machine, parity_machine
 from spn.rng import make_rng
 from spn.sptree import count_consistent_trees
 
@@ -721,7 +723,20 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
     huge_root, huge_key = tmp_path / "huge_root.json", tmp_path / "huge_key.json"
     huge_root.write_text(serialize(_corpus_circuit()).replace('"root": ', '"root": ' + "9" * 10**6, 1))
     huge_key.write_text(json.dumps({"fixed": {"9" * 10**6: 1}}))
+    # machines whose one-hot embedding (n * |D| * k^2 cells) is just past the bound, and equal just past its n
+    count_n = next(n for n in itertools.count(1) if 2 * n * (n + 1) ** 2 > MAX_ONE_HOT_CELLS)
+    k = math.isqrt(MAX_ONE_HOT_CELLS // 2) + 1
+    machine = tmp_path / "machine.json"
+    doc = {"n": 1, "state_size": k, "initial_state": 0, "transitions": [{"0": list(range(k)), "1": [0] * k}]}
+    machine.write_text(json.dumps({**doc, "decode": [1] * k}))
     cases = [
+        (["builtin", "count-ones", "--n", "100000000000"], "count-ones of 10^11 inputs"),
+        (["builtin", "count-ones", "--n", str(count_n)], "count-ones just past the one-hot bound"),
+        (["builtin", "majority", "--n", str(count_n)], "majority just past the one-hot bound"),
+        (["builtin", "parity", "--n", "100000000"], "parity of 10^8 inputs"),
+        (["builtin", "parity", "--n", str(MAX_ONE_HOT_CELLS // 8 + 1)], "parity just past the one-hot bound"),
+        (["builtin", "equal", "--n", str(MAX_EQUAL_N + 2)], "equal just past MAX_EQUAL_N"),
+        (["compile", "fpssm", str(machine)], f"a one-variable machine of {k} states"),
         (["check", str(big_root)], "root past the digit limit"),
         (["check", str(huge_root)], "a million-digit root"),
         (["marginalize", "--query", str(big_key), str(path)], "query key past the digit limit"),

@@ -5,8 +5,10 @@ from itertools import product as iter_product
 
 import pytest
 
-from spn.errors import SpnError
+from spn.errors import InstanceTooLargeError, SpnError
 from spn.machines import (
+    MAX_EQUAL_N,
+    MAX_ONE_HOT_CELLS,
     Fplm,
     build_equal,
     compile_fpssm,
@@ -162,6 +164,21 @@ def test_leaf_table_sharing_shrinks_function_count():
             assert c.evaluate(dict(enumerate(x))) == eval_fpssm(m, x)
     # the compile that built every cell gave 4,226 nodes here
     assert len(compile_fpssm(majority_machine(12)).nodes) == 215
+
+
+def test_one_hot_bound_admits_the_documented_sizes_and_rejects_past_them():
+    # majority(24), the largest built-in machine the docs run, embeds in
+    # 24 * 2 * 25^2 = 30,000 cells; count-ones(50) in 260,100, the most
+    # under the bound; count-ones(51) and parity(32,769) exceed it before
+    # any table is built
+    assert fpssm_to_fplm(majority_machine(24)).dim == 25
+    assert 2 * 50 * 51**2 <= MAX_ONE_HOT_CELLS < 2 * 51 * 52**2
+    assert count_ones_machine(50).state_size == 51
+    for build, n in ((count_ones_machine, 51), (majority_machine, 51), (parity_machine, MAX_ONE_HOT_CELLS // 8 + 1)):
+        with pytest.raises(InstanceTooLargeError, match="one-hot embedding"):
+            build(n)
+    with pytest.raises(InstanceTooLargeError, match="equal of"):
+        build_equal(MAX_EQUAL_N + 2)
 
 
 # -- the half-equality circuit ------------------------------------------------------

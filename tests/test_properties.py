@@ -14,7 +14,17 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spn.circuit import Circuit, ConstantNode, LeafFunction, ProductNode, SumNode, VariableSpec, deserialize, serialize
+from spn.circuit import (
+    Circuit,
+    CircuitBuilder,
+    ConstantNode,
+    LeafFunction,
+    ProductNode,
+    SumNode,
+    VariableSpec,
+    deserialize,
+    serialize,
+)
 from spn.errors import DomainError, SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
@@ -130,11 +140,11 @@ def test_sample_matches_fraction_reference(seed):
 def with_fraction_values(c, rng):
     """The same circuit with each leaf value and sum weight divided by 1, 2 or 3."""
     fns = [
-        LeafFunction(f.id, f.variable, {k: x / int(rng.integers(1, 4)) for k, x in f.table.items()}, f.name)
+        LeafFunction(f.id, f.variable, {k: Fraction(x, int(rng.integers(1, 4))) for k, x in f.table.items()}, f.name)
         for f in c.leaf_functions
     ]
     nodes = [
-        SumNode(nd.id, nd.children, tuple(w / int(rng.integers(1, 4)) for w in nd.weights))
+        SumNode(nd.id, nd.children, tuple(Fraction(w, int(rng.integers(1, 4))) for w in nd.weights))
         if isinstance(nd, SumNode)
         else nd
         for nd in c.nodes
@@ -408,6 +418,112 @@ def test_compiled_fpssm_matches_machine(seed):
     assert [c.evaluate(x) for x in iter_product(*m.domains)] == values
     # no zero weight or constant, except the one constant-0 root of a zero machine
     assert not degeneracy_offenders(c) if any(values) else len(c.nodes) == 1 and not c.leaf_functions
+
+
+# -- one exact form ----------------------------------------------------------------
+
+
+def ir_values(c):
+    """Every value a circuit holds: domain values, leaf-table keys and values, weights, constants."""
+    for v in c.variables:
+        yield from v.domain
+    for f in c.leaf_functions:
+        for key, value in f.table.items():
+            yield from (key, value)
+    for nd in c.nodes:
+        if isinstance(nd, SumNode):
+            yield from nd.weights
+        elif isinstance(nd, ConstantNode):
+            yield nd.value
+
+
+def fraction_valued(c):
+    """The same circuit with every value a Fraction, as `Circuit(...)` may be given it."""
+    fns = [
+        LeafFunction(f.id, f.variable, {Fraction(k): Fraction(x) for k, x in f.table.items()}, f.name)
+        for f in c.leaf_functions
+    ]
+    nodes = [
+        SumNode(nd.id, nd.children, tuple(map(Fraction, nd.weights))) if isinstance(nd, SumNode) else nd
+        for nd in c.nodes
+    ]
+    nodes = [ConstantNode(nd.id, Fraction(nd.value)) if isinstance(nd, ConstantNode) else nd for nd in nodes]
+    variables = [VariableSpec(v.id, tuple(map(Fraction, v.domain))) for v in c.variables]
+    return Circuit(variables, fns, nodes, c.root, c.extended)
+
+
+def value_on_unwrapped_fractions(c, point):
+    """The circuit's value at a full point (a tuple by variable id), computed
+    from its values as Fractions with the integral ones unwrapped to ints,
+    in the order of operations of `Circuit.evaluate_selection`."""
+
+    def unwrap(x):
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
+
+    values = []
+    for nd in c.nodes:
+        if isinstance(nd, ConstantNode):
+            acc = unwrap(nd.value)
+        elif isinstance(nd, SumNode):
+            acc = 0
+            for child, w in zip(nd.children, nd.weights):
+                acc += unwrap(w) * values[child]
+        elif isinstance(nd, ProductNode):
+            acc = 1
+            for child in nd.children:
+                acc *= values[child]
+        else:
+            f = c.leaf_functions[nd.leaf_function]
+            acc = 0
+            acc += unwrap(f.table[point[f.variable]])
+        values.append(acc)
+    return values[c.root]
+
+
+def circuits_by_every_route(rng):
+    """(route, circuit) for one random circuit of each way the package builds one."""
+    free = random_free_circuit(rng, max_vars=3, max_domain=3, max_size=12)
+    dc = random_dc_circuit(rng, n=int(rng.integers(2, 4)), domain_size=int(rng.integers(2, 4)), max_size=15)
+    b = CircuitBuilder()
+    x, y = b.variable([0, "1/2", Fraction(4, 2)]), b.variable([False, True])
+    fx = b.leaf_function(x, {0: Fraction(6, 3), "1/2": "3/1", 2: Fraction(1, 3)})
+    fy = b.leaf_function(y, {0: True, 1: "2/4"})
+    half = b.sum([(b.leaf(fx), "4/2"), (b.constant(Fraction(3, 3)), Fraction(1, 2))])
+    yield "builder", b.build(b.product([half, b.leaf(fy)]))
+    yield "builder", free
+    yield "deserialize", deserialize(serialize(with_fraction_values(free, rng)))
+    yield "Circuit(...) given Fraction(k) tables", randomize_tables(dc, rng)
+    yield "Circuit(...) given Fractions", fraction_valued(with_fraction_values(free, rng))
+    yield "compile_fpssm", compile_fpssm(random_fpssm(rng))
+    try:
+        yield "rewrite", excise(free, [int(rng.integers(len(free.nodes)))])
+    except ZeroCircuitError:  # the excised node took the root with it
+        yield "rewrite", excise(free, [])
+    yield "normalize_weights", normalize_weights(dc)
+    yield "complete_transform", complete_transform(free)
+    yield "binarize_products", binarize_products(fraction_valued(free))
+
+
+@PROFILE
+@given(seeds)
+def test_every_route_holds_integral_values_as_ints(seed):
+    # ints exactly where a value is integral, Fractions elsewhere, never a
+    # float; points and grids evaluate as the same values read as Fractions
+    # with the integral ones unwrapped
+    routes = 0
+    for route, c in circuits_by_every_route(make_rng(seed)):
+        routes += 1
+        for x in ir_values(c):
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), (route, x)
+        points = list(iter_product(*(v.domain for v in c.variables)))
+        grid = {v: [(p,) for p in range(len(spec.domain))] for v, spec in enumerate(c.variables)}
+        for point, cell in zip(points, c.tabulate(grid)):
+            expected = value_on_unwrapped_fractions(c, point)
+            value = c.evaluate(point)
+            assert value == expected and type(value) is type(expected), (route, point)
+            assert cell == expected and type(cell) is type(expected), (route, point)
+    assert routes == 10
 
 
 # -- sptree kernels ----------------------------------------------------------------
