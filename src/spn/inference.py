@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Mapping
 
 from .circuit import (
@@ -246,28 +246,52 @@ class DistributionHandle:
     def density(self, assignment) -> Fraction:
         return as_fraction(self.circuit.evaluate(assignment)) / self.partition
 
-    def sampling_plan(self) -> tuple[list[tuple], frozenset[int]]:
-        """Per node (kind, variable, thresholds, choices), and the
-        dependency-scope; built on first use, after checking once that the
-        circuit is weight-normalized."""
+    def sampling_plan(self) -> tuple[list[tuple], frozenset[int], int, int]:
+        """Per node (draws, variable, thresholds, choices), the
+        dependency-scope, and the fewest and the most uniforms a sample can
+        draw; built on first use, after checking once that the circuit is
+        weight-normalized.
+
+        A sum or leaf (`draws`) picks one of its `choices` (children, or
+        the domain of a leaf's `variable`) by one uniform; a product or
+        constant visits them all.  `thresholds` drop `_thresholds`' last
+        one, which is at least 1 and so above every uniform.  The most
+        draws are 1 at a leaf, 1 plus the children's most at a sum, their
+        sum at a product and 0 at a constant; the fewest take the least
+        child at a sum.
+        """
         if self._plan is None:
             circuit = self.circuit
             if not is_weight_normalized(circuit):
                 raise NotNormalizedError("sampling requires a weight-normalized circuit")
-            steps = []
+            steps, fewest, most = [], [], []
             for node in circuit.nodes:
                 if isinstance(node, LeafNode):
                     f = circuit.leaf_functions[node.leaf_function]
                     domain = circuit.variables[f.variable].domain
-                    steps.append(("leaf", f.variable, _thresholds(f.table[x] for x in domain), domain))
+                    steps.append((True, f.variable, _thresholds(f.table[x] for x in domain)[:-1], domain))
+                    fewest.append(1)
+                    most.append(1)
                 elif isinstance(node, SumNode):
-                    steps.append(("sum", None, _thresholds(node.weights), node.children))
+                    steps.append((True, None, _thresholds(node.weights)[:-1], node.children))
+                    fewest.append(1 + min(fewest[c] for c in node.children))
+                    most.append(1 + max(most[c] for c in node.children))
                 elif isinstance(node, ProductNode):
-                    steps.append(("prod", None, None, node.children))
+                    steps.append((False, None, None, node.children))
+                    fewest.append(sum(fewest[c] for c in node.children))
+                    most.append(sum(most[c] for c in node.children))
                 else:
-                    steps.append(("const", None, None, ()))
-            self._plan = (steps, circuit.dependency_scope())
+                    steps.append((False, None, None, ()))
+                    fewest.append(0)
+                    most.append(0)
+            root = circuit.root
+            self._plan = (steps, circuit.dependency_scope(), fewest[root], most[root])
         return self._plan
+
+
+# the most uniforms a sample draws at once: a shared DAG that is not D&C can
+# bound its draws near 2**64
+_DRAWS = 1 << 10
 
 
 def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Rational]:
@@ -277,28 +301,35 @@ def sample(handle: DistributionHandle, rng_or_seed) -> dict[int, Rational]:
     product nodes recurse into all children, and leaves draw their variable
     from the table as a categorical distribution.  Each variable in the
     dependency-scope is assigned exactly once.  Every choice compares one
-    rng.random() against the node's exact thresholds (see _thresholds).
+    uniform double against the node's exact thresholds (see _thresholds).
     `rng_or_seed` is a `spn.philox.Philox` stream, a numpy Generator, or a
     seed, whose stream `spn.rng.seeded_stream` picks.
-    """
-    steps, scope = handle.sampling_plan()
-    rng = rng_or_seed
-    if not hasattr(rng, "random"):  # imported here, so the commands that never draw do not load spn.rng
-        from .rng import seeded_stream
 
-        rng = seeded_stream(rng_or_seed)
+    The uniforms come in blocks from `spn.rng.block_uniforms`, which on
+    exit, an error's included, rewinds the stream to the uniforms used: the
+    values and the stream's next draw are those of one scalar
+    `rng.random()` per sum or leaf visited.  The first block holds the
+    plan's most draws, or twice its fewest where that is less, and each
+    further one twice the one before, at most 1,024 each: a sample whose
+    draws vary widely draws no more than about three times what it uses.
+    """
+    from .rng import block_uniforms, seeded_stream  # here, so the commands that never draw do not load spn.rng
+
+    steps, scope, fewest, most = handle.sampling_plan()
+    first = min(most, 2 * fewest, _DRAWS)
     assignment: dict[int, Rational] = {}
     stack = [handle.circuit.root]
-    while stack:
-        kind, var, thresholds, choices = steps[stack.pop()]
-        if kind == "prod":
-            stack.extend(choices)
-        elif kind == "sum":
-            stack.append(choices[min(bisect_right(thresholds, rng.random()), len(choices) - 1)])
-        elif kind == "leaf":
-            if var in assignment:
+    with block_uniforms(seeded_stream(rng_or_seed), (min(first << i, _DRAWS) for i in count())) as uniforms:
+        while stack:
+            draws, var, thresholds, choices = steps[stack.pop()]
+            if not draws:
+                stack.extend(choices)
+            elif var is None:
+                stack.append(choices[bisect_right(thresholds, next(uniforms))])
+            elif var in assignment:
                 raise SpnError(f"variable {var} assigned twice; circuit is not D&C")
-            assignment[var] = choices[min(bisect_right(thresholds, rng.random()), len(choices) - 1)]
+            else:
+                assignment[var] = choices[bisect_right(thresholds, next(uniforms))]
     missing = scope - assignment.keys()
     if missing:
         raise SpnError(f"sampling left variables unassigned: {sorted(missing)}")

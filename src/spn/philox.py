@@ -1,10 +1,11 @@
 """numpy's `Generator(Philox(SeedSequence(seed)))` stream in pure Python.
 
 `Philox.from_seed(seed)` reproduces the stream word for word for the
-draws the library makes: `random()`, `integers(high)` for
-1 <= high <= 2**32, and blocks of `integers(high)` (`draw`, `replay`),
-with no numpy.  Its block counter is limited to 2**64 blocks (numpy
-carries into a 256-bit counter); no draw comes near it.
+draws the library makes: `random()` and blocks of it (`uniforms`,
+`replay_uniforms`), `integers(high)` for 1 <= high <= 2**32, and blocks
+of `integers(high)` (`draw`, `replay`), with no numpy.  Its block
+counter is limited to 2**64 blocks (numpy carries into a 256-bit
+counter); no draw comes near it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ _MASK64 = (1 << 64) - 1
 _MUL0, _MUL1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # Philox4x64 round multipliers
 _WEYL0, _WEYL1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Philox4x64 key increments
 _ROUNDS = 10
+_UNIT = 1.0 / 9007199254740992.0  # 2**-53: random() is the top 53 bits of a word times this
 _BLOCKS = 128  # Philox blocks computed at once, as 128-bit lanes of one int (512 words)
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCKS, "little")  # 1 in every lane
 _LANES = _ONES * _MASK64  # the low 64 bits of every lane
@@ -85,7 +87,8 @@ class Philox:
 
     Word i of the stream is word i % 4 of the Philox4x64-10 block at
     counter i // 4 + 1.  `random()` is `(w >> 11) * 2**-53` of the next
-    word; a 32-bit draw takes the buffered upper half of a word if there
+    word, and `uniforms(k)` gives k of them at once from the cached
+    words; a 32-bit draw takes the buffered upper half of a word if there
     is one, else the lower half of the next word, buffering its upper
     half.  `integers(high)` maps a 32-bit draw x to x*high >> 32 unless
     x*high mod 2**32 < 2**32 mod high, when it draws again (numpy's
@@ -154,7 +157,21 @@ class Philox:
         return self._words[i]
 
     def random(self) -> float:
-        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+        return (self._next64() >> 11) * _UNIT
+
+    def uniforms(self, k: int) -> list[float]:
+        """The values of k `random()` calls, in order, read from the cached words; the stream moves past them."""
+        values = []
+        while len(values) < k:
+            i = self._fill(self._word)
+            words = self._words[i : i + k - len(values)]
+            values += [(w >> 11) * _UNIT for w in words]
+            self._word += len(words)
+        return values
+
+    def replay_uniforms(self, k: int) -> None:
+        """Move the stream as k `random()` calls would: each takes one word, and the buffered half stays."""
+        self._word += k
 
     def integers(self, high: int) -> int:
         """One value of numpy's `Generator.integers(high)`, 0 <= value < high."""

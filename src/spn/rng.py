@@ -15,7 +15,8 @@ give identical streams across platforms.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
+from functools import partial
+from itertools import chain, repeat
 from numbers import Integral
 from operator import length_hint
 
@@ -85,33 +86,72 @@ class _GeneratorStream:
 
     replay = draw
 
+    def uniforms(self, k: int) -> list[float]:
+        return self.rng.random(k).tolist()
 
-@contextmanager
-def block_integers(rng, high: int, block: int):
+    def replay_uniforms(self, k: int) -> None:
+        self.rng.random(k)
+
+
+class _Blocks:
+    """Context manager over the values of successive scalar draws, taken in blocks of the given sizes.
+
+    `draw(k)` takes the next k values of the stream and `replay(k)` moves
+    the stream as taking k values from the same state would.  A block is
+    drawn when the values run out, the first one at the first `next`.  On
+    exit, if values of the last block are left, the state saved before it
+    is restored and the values taken from it are replayed, so the stream
+    ends where one scalar call per value taken would leave it, also when
+    the block exits by an exception.
+    """
+
+    __slots__ = ("_stream", "_draw", "_replay", "_sizes", "_state", "_chunk", "_rest")
+
+    def __init__(self, stream, draw, replay, sizes):
+        self._stream, self._draw, self._replay, self._sizes = stream, draw, replay, sizes
+        self._chunk = ()
+        self._rest = iter(self._chunk)
+
+    def _chunks(self):
+        for size in self._sizes:
+            self._state = self._stream.state
+            self._chunk = self._draw(size)
+            self._rest = iter(self._chunk)
+            yield self._rest
+
+    def __enter__(self):
+        return chain.from_iterable(self._chunks())
+
+    def __exit__(self, *exc):
+        left = length_hint(self._rest)
+        if left:
+            self._stream.state = self._state
+            self._replay(len(self._chunk) - left)
+
+
+def _block_stream(rng):
+    return rng if hasattr(rng, "replay") else _GeneratorStream(rng)
+
+
+def block_integers(rng, high: int, block: int) -> _Blocks:
     """Iterator over the values of successive `rng.integers(high)` calls, drawn `block` at a time.
 
     `rng` is a `spn.philox.Philox` or a numpy Generator.  One block of k
     draws yields the values of k scalar calls, in order, because each
-    value takes the same bit-generator words either way.  On exit the state saved before
-    the last block is restored and the values taken from that block are
-    replayed, so `rng` ends where one scalar call per value taken would
-    leave it, buffered half-word included.
+    value takes the same bit-generator words either way.  On exit the
+    stream is rewound to the values taken (see `_Blocks`), buffered
+    half-word included.
     """
-    stream = rng if hasattr(rng, "replay") else _GeneratorStream(rng)
-    state, chunk = None, []
-    rest = iter(chunk)
+    stream = _block_stream(rng)
+    return _Blocks(stream, partial(stream.draw, high), partial(stream.replay, high), repeat(block))
 
-    def values():
-        nonlocal state, chunk, rest
-        while True:
-            state = stream.state
-            chunk = stream.draw(high, block)
-            rest = iter(chunk)
-            yield from rest
 
-    try:
-        yield values()
-    finally:
-        if state is not None:
-            stream.state = state
-            stream.replay(high, len(chunk) - length_hint(rest))
+def block_uniforms(rng, sizes) -> _Blocks:
+    """Iterator over the values of successive `rng.random()` calls, drawn in blocks of the successive `sizes`.
+
+    As `block_integers`: a block of k doubles is the k scalar calls' values,
+    each the top 53 bits of one 64-bit word, and on exit the stream is
+    rewound to the values taken; a buffered half-word is left as it was.
+    """
+    stream = _block_stream(rng)
+    return _Blocks(stream, stream.uniforms, stream.replay_uniforms, sizes)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import itemgetter
 
-from .circuit import Circuit, ConstantNode, ProductNode, node_children
+from .circuit import Circuit, ConstantNode, ProductNode, Rational, as_rational, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank, integer_rank, scaled_row
 from .records import Record
@@ -176,7 +176,8 @@ def binarize_products(circuit: Circuit) -> Circuit:
 
 class DecompositionTerm(Record, namedtuple("DecompositionTerm", "y_vars z_vars g_table h_table")):
     """g * h with g over the variables `y_vars`, h over `z_vars`; each table
-    maps an assignment tuple over its variables to a value."""
+    maps an assignment tuple over its variables to a value, an int when
+    integral and a Fraction otherwise (see `circuit.as_rational`)."""
 
     __slots__ = ()
 
@@ -184,9 +185,9 @@ class DecompositionTerm(Record, namedtuple("DecompositionTerm", "y_vars z_vars g
 class Decomposition(Record, namedtuple("Decomposition", "terms source_size")):
     __slots__ = ()
 
-    def reconstruct(self, assignment) -> Fraction:
+    def reconstruct(self, assignment) -> Rational:
         """Sum of g_i * h_i at a full assignment (mapping variable -> value)."""
-        total = Fraction(0)
+        total = 0
         for t in self.terms:
             gy = t.g_table[tuple(assignment[v] for v in t.y_vars)]
             hz = t.h_table[tuple(assignment[v] for v in t.z_vars)]
@@ -246,7 +247,7 @@ def decompose(circuit: Circuit) -> Decomposition:
             raise InstanceTooLargeError(f"term tables over more than {MAX_TABLE_VARS} variables")
 
         grid, keys = _grid(work, y_vars)
-        g_table = dict(zip(keys, map(Fraction, work.tabulate(grid, node))))
+        g_table = dict(zip(keys, map(as_rational, work.tabulate(grid, node))))
 
         pinned_one = rewrite(work, lambda nd, new, emit: emit(ConstantNode, 1) if nd.id == node else nd)
         try:
@@ -258,7 +259,7 @@ def decompose(circuit: Circuit) -> Decomposition:
         lo = pinned_zero.tabulate(grid) if pinned_zero else [0] * len(hi)
         if any(h < l for h, l in zip(hi, lo)):
             raise SpnError("negative cofactor table entry; circuit is not D&C")
-        h_table = dict(zip(keys, [Fraction(h - l) for h, l in zip(hi, lo)]))
+        h_table = dict(zip(keys, [as_rational(h - l) for h, l in zip(hi, lo)]))
         terms.append(DecompositionTerm(y_vars, z_vars, g_table, h_table))
         work = pinned_zero
 

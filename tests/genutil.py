@@ -21,6 +21,7 @@ from spn.circuit import (
     SumNode,
     node_children,
 )
+from spn.errors import SpnError
 from spn.inference import apply_integration
 from spn.polynomial import expand
 from spn.structure import prune_degenerate
@@ -336,7 +337,9 @@ def reference_sample(circuit: Circuit, rng) -> dict:
     """Top-down draw that compares each rng.random() with exact Fraction
     running sums: the sampler before it compiled float thresholds, kept as
     the oracle for seeded draws.  Same traversal (stack order), so the same
-    stream of rng.random() calls."""
+    stream of rng.random() calls: one scalar call per sum or leaf visited.
+    A leaf whose variable is assigned already raises before it draws, and
+    a variable of the dependency-scope left unassigned raises at the end."""
     def pick(masses):
         u = rng.random()
         acc = Fraction(0)
@@ -352,12 +355,16 @@ def reference_sample(circuit: Circuit, rng) -> dict:
         node = circuit.nodes[stack.pop()]
         if isinstance(node, LeafNode):
             f = circuit.leaf_functions[node.leaf_function]
+            if f.variable in assignment:
+                raise SpnError(f"variable {f.variable} assigned twice")
             domain = circuit.variables[f.variable].domain
             assignment[f.variable] = domain[pick([f.table[x] for x in domain])]
         elif isinstance(node, SumNode):
             stack.append(node.children[pick(node.weights)])
         elif isinstance(node, ProductNode):
             stack.extend(node.children)
+    if circuit.dependency_scope() - assignment.keys():
+        raise SpnError("variables left unassigned")
     return assignment
 
 

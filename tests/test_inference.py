@@ -9,8 +9,8 @@ from itertools import accumulate
 import pytest
 from scipy.stats import chisquare
 
-from spn import inference
-from spn.circuit import CircuitBuilder
+from spn import cli, inference
+from spn.circuit import CircuitBuilder, serialize
 from spn.errors import (
     DomainError,
     NotDecomposableCompleteError,
@@ -39,13 +39,14 @@ from spn.machines import (
     majority_machine,
     parity_machine,
 )
-from spn.rng import make_rng
+from spn.rng import Philox, make_rng
 
 from genutil import (
     exhaustive_marginal,
     incomplete_valid_fixture,
     product_of_two_leaves,
     random_dc_circuit,
+    reference_sample,
 )
 
 
@@ -289,6 +290,156 @@ def test_sampler_rejects_draws_of_non_dc_circuits():
     either = circuit(lambda b, fx, fy: b.sum([(b.leaf(fx), Fraction(1, 2)), (b.leaf(fy), Fraction(1, 2))]))
     with pytest.raises(SpnError, match="unassigned"):
         sample(DistributionHandle(either, partition=Fraction(1)), 0)
+
+
+STREAMS = [pytest.param(make_rng, id="numpy"), pytest.param(Philox.from_seed, id="philox")]
+
+
+def _next_draws(rng):
+    """The stream's next values: a double, then a 32-bit draw, which leaves half a word buffered."""
+    return rng.random(), int(rng.integers(2**32)), rng.random()
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize(
+    "circuit, short",
+    [
+        pytest.param(lambda: normalize_weights(build_equal(6)), False, id="equal6"),
+        pytest.param(lambda: normalize_weights(compile_fpssm(majority_machine(8))), False, id="majority8"),
+        pytest.param(lambda: normalize_weights(random_dc_circuit(make_rng(1), n=6)), True, id="random-dc"),
+    ],
+)
+def test_block_drawn_samples_leave_the_stream_of_scalar_draws(stream, circuit, short):
+    c = circuit()
+    handle = DistributionHandle(c)
+    most = handle.sampling_plan()[3]
+    for seed, count in ((3, 1), (4, 7), (2**64 + 3, 300)):
+        ours, theirs = stream(seed), stream(seed)
+        if seed % 2:  # start with half a word buffered
+            assert ours.integers(7) == theirs.integers(7)
+        assert [sample(handle, ours) for _ in range(count)] == [reference_sample(c, theirs) for _ in range(count)]
+        assert _next_draws(ours) == _next_draws(theirs)
+    # each sample of equal(6) and of compiled majority(8) takes the plan's
+    # most draws; some of the random circuit's take fewer, so the sampler
+    # rewinds a partly used block
+    used = []
+    pure = Philox.from_seed(8)
+    for _ in range(50):
+        before = pure.state[0]
+        reference_sample(c, pure)
+        used.append(pure.state[0] - before)
+    assert max(used) == most and (min(used) < most) == short
+
+
+def _halves(root):
+    """A circuit over two fair binary variables x and y, with partition=1 skipping the D&C gate."""
+    b = CircuitBuilder()
+    x, y = b.variable([0, 1]), b.variable([0, 1])
+    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    c = b.build(root(b, b.leaf_function(x, half), b.leaf_function(y, half)))
+    return c, DistributionHandle(c, partition=Fraction(1))
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize(
+    "root, error",
+    [
+        # the sum picks x's leaf and then x's other leaf raises, or y's and the draw succeeds
+        pytest.param(
+            lambda b, fx, fy: b.product([b.leaf(fx), b.sum([(b.leaf(fx), Fraction(1, 2)), (b.leaf(fy), Fraction(1, 2))])]),
+            "assigned twice",
+            id="twice",
+        ),
+        # the sum picks x's leaf alone, leaving y unassigned, or both
+        pytest.param(
+            lambda b, fx, fy: b.sum([(b.leaf(fx), Fraction(1, 2)), (b.product([b.leaf(fx), b.leaf(fy)]), Fraction(1, 2))]),
+            "unassigned",
+            id="unassigned",
+        ),
+    ],
+)
+def test_rejected_samples_rewind_the_stream_as_scalar_draws(stream, root, error):
+    c, handle = _halves(root)
+    assert handle.sampling_plan()[3] == 3
+    outcomes = set()
+    for seed in range(16):
+        ours, theirs = stream(seed), stream(seed)
+        try:
+            expected = reference_sample(c, theirs)
+        except SpnError:
+            with pytest.raises(SpnError, match=error):
+                sample(handle, ours)
+            outcomes.add("raised")
+        else:
+            assert sample(handle, ours) == expected
+            outcomes.add("drawn")
+        assert _next_draws(ours) == _next_draws(theirs)
+    assert outcomes == {"raised", "drawn"}
+
+
+def test_a_shared_dag_with_a_huge_draw_bound_raises_at_once():
+    # p_i = p_{i-1} * p_{i-1}: the plan bounds a sample's draws by 2**64, but
+    # the walk meets the leaf twice after one draw; the block is capped
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    node = b.leaf(b.leaf_function(x, {0: Fraction(1, 2), 1: Fraction(1, 2)}))
+    for _ in range(64):
+        node = b.product([node, node])
+    handle = DistributionHandle(b.build(node), partition=Fraction(1))
+    assert handle.sampling_plan()[3] == 2**64
+    for stream in (make_rng, Philox.from_seed):
+        rng, scalar = stream(9), stream(9)
+        with pytest.raises(SpnError, match="assigned twice"):
+            sample(handle, rng)
+        scalar.random()
+        assert _next_draws(rng) == _next_draws(scalar)
+
+
+def test_samples_whose_draws_vary_draw_blocks_near_what_they_use():
+    # a leaf, or a 1,000-deep chain of sums over it: 2 or 1,002 draws a sample
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    f = b.leaf_function(x, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    deep = b.leaf(f)
+    for _ in range(1000):
+        deep = b.sum([(deep, 1)])
+    c = b.build(b.sum([(b.leaf(f), Fraction(1, 2)), (deep, Fraction(1, 2))]))
+    handle = DistributionHandle(c)
+    assert handle.sampling_plan()[2:] == (2, 1002)
+    blocks = []
+
+    class Spy(Philox):
+        def uniforms(self, k):
+            blocks.append(k)
+            return super().uniforms(k)
+
+    rng, scalar = Spy.from_seed(4), Philox.from_seed(4)
+    used = set()
+    for _ in range(20):
+        blocks.clear()
+        before = scalar.state[0]
+        assert sample(handle, rng) == reference_sample(c, scalar)
+        used.add(scalar.state[0] - before)
+        assert sum(blocks) <= 2 * (scalar.state[0] - before)
+    assert used == {2, 1002} and rng.state == scalar.state
+
+
+def test_deep_product_chain_samples_without_recursion(tmp_path, capsys):
+    b = CircuitBuilder()
+    x = b.variable([0, 1])
+    node = b.leaf(b.leaf_function(x, {0: 1, 1: 3}))
+    for _ in range(10_000):
+        node = b.product([node])
+    c = b.build(node)
+    handle = DistributionHandle(normalize_weights(c))
+    draws = [sample(handle, seed)[0] for seed in range(20)]
+    assert set(draws) == {0, 1}
+    path, normalized = tmp_path / "chain.json", tmp_path / "normalized.json"
+    path.write_text(serialize(c))
+    assert cli.main(["normalize", str(path), "-o", str(normalized)]) == 0
+    assert cli.main(["sample", str(normalized), "-n", "20", "--seed", "0"]) == 0
+    stream = Philox.from_seed(0)
+    assert capsys.readouterr() == ("".join(f"{sample(handle, stream)[0]}\n" for _ in range(20)), "")
 
 
 def fraction_scan(masses, u):

@@ -1,6 +1,7 @@
 """The pure-Python Philox stream against numpy's Generator(Philox(SeedSequence(seed)))."""
 
 import sys
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,25 +10,28 @@ from spn.errors import SpnError
 from spn.inference import DistributionHandle, normalize_weights, sample
 from spn.machines import build_equal
 from spn import rng
-from spn.rng import NUMPY_DRAWS, Philox, block_integers, make_rng, seeded_stream
+from spn.rng import NUMPY_DRAWS, Philox, block_integers, block_uniforms, make_rng, seeded_stream
 from spn.sptree import constraint_fraction_experiment, iter_trees, sample_tree, sample_trees
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128]
 HIGHS = [1, 2, 3, 20, 2**31 + 1, 2**32]
 
-# ("random",), ("integers", high) or ("block", high, k); block lengths cross a 512-word chunk
+# ("random",), ("uniforms", k), ("integers", high) or ("block", high, k); blocks cross a 512-word chunk
 draws = st.one_of(
     st.just(("random",)),
+    st.tuples(st.just("uniforms"), st.integers(0, 1300)),
     st.tuples(st.just("integers"), st.sampled_from(HIGHS)),
     st.tuples(st.just("block"), st.sampled_from(HIGHS), st.integers(0, 1300)),
 )
 
 
 def _draw(rng, op):
-    """The values `op` draws: numpy's Generator, or the same calls on `Philox` (a block is `draw`)."""
+    """The values `op` draws: numpy's Generator, or the same calls on `Philox` (a block is `draw` or `uniforms`)."""
     if op[0] == "random":
         return rng.random()
+    if op[0] == "uniforms":
+        return rng.uniforms(op[1]) if isinstance(rng, Philox) else rng.random(op[1]).tolist()
     if isinstance(rng, Philox):
         return rng.integers(op[1]) if op[0] == "integers" else rng.draw(*op[1:])
     return int(rng.integers(op[1])) if op[0] == "integers" else rng.integers(op[1], size=op[2]).tolist()
@@ -56,6 +60,16 @@ def test_philox_block_draws_through_lemire_rejections():
         taken = [next(values) for _ in range(k - 3)]
     assert taken == reference.integers(high, size=k - 3).tolist()
     assert pure.integers(high) == int(reference.integers(high))
+
+
+@pytest.mark.parametrize("block, taken", [(5, 0), (5, 5), (5, 12), (700, 600)])
+@pytest.mark.parametrize("stream", [make_rng, Philox.from_seed])
+def test_block_uniforms_leave_the_stream_of_scalar_draws(stream, block, taken):
+    rng, reference = stream(5), make_rng(5)
+    assert rng.integers(9) == reference.integers(9)  # half a word buffered
+    with block_uniforms(rng, repeat(block)) as values:
+        assert [next(values) for _ in range(taken)] == reference.random(taken).tolist()
+    assert (rng.random(), int(rng.integers(2**32))) == (reference.random(), int(reference.integers(2**32)))
 
 
 def test_philox_high_must_be_in_range():
