@@ -89,52 +89,54 @@ class SparsePolynomial:
 def expand(circuit: Circuit, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynomial:
     """Exact output polynomial of the root in the leaf functions.
 
-    Raises TermExplosionError when the number of distinct monomials at any
-    intermediate node exceeds `max_terms`.
+    Coefficients stay ints while they are integral, as in the eval plan,
+    and become Fractions at the root.  Children of a product whose
+    dependency-scopes are disjoint share no leaf function, so their
+    monomials multiply by sorting the concatenation; overlapping children
+    add exponents (`monomial_mul`).  Only extended circuits can cancel, so
+    only their nodes drop zero coefficients.  Raises TermExplosionError
+    when the number of distinct monomials at any intermediate node exceeds
+    `max_terms`.
     """
     groups = {f.id: f.variable for f in circuit.leaf_functions}
     needed = circuit.reachable()
-    polys: dict[int, dict[Monomial, Fraction]] = {}
+    scopes = circuit.scopes()
+    polys: dict[int, dict] = {}
     for nd in circuit.nodes:
         if nd.id not in needed:
             continue
         if isinstance(nd, LeafNode):
-            polys[nd.id] = {((nd.leaf_function, 1),): Fraction(1)}
+            acc = {((nd.leaf_function, 1),): 1}
         elif isinstance(nd, ConstantNode):
-            polys[nd.id] = {ONE: Fraction(nd.value)} if nd.value != 0 else {}
+            acc = {ONE: nd.value} if nd.value != 0 else {}
         elif isinstance(nd, SumNode):
-            acc: dict[Monomial, Fraction] = {}
+            acc = {}
             for c, w in zip(nd.children, nd.weights):
-                if w == 0:
-                    continue
-                for m, coeff in polys[c].items():
-                    cur = acc.get(m, Fraction(0)) + w * coeff
-                    if cur == 0:
-                        acc.pop(m, None)
-                    else:
-                        acc[m] = cur
-            polys[nd.id] = acc
+                if w != 0:
+                    for m, coeff in polys[c].items():
+                        acc[m] = acc.get(m, 0) + w * coeff
         else:
-            acc = {ONE: Fraction(1)}
-            for c in nd.children:
-                child = polys[c]
-                nxt: dict[Monomial, Fraction] = {}
+            acc, seen = polys[nd.children[0]], scopes[nd.children[0]]
+            for c in nd.children[1:]:
+                child, nxt, disjoint = polys[c], {}, seen.isdisjoint(scopes[c])
+                seen = seen | scopes[c]
                 for m1, c1 in acc.items():
-                    for m2, c2 in child.items():
-                        m = monomial_mul(m1, m2)
-                        cur = nxt.get(m, Fraction(0)) + c1 * c2
-                        if cur == 0:
-                            nxt.pop(m, None)
-                        else:
-                            nxt[m] = cur
-                    if len(nxt) > max_terms:
+                    if disjoint:
+                        nxt.update((tuple(sorted(m1 + m2)), c1 * c2) for m2, c2 in child.items())
+                    else:
+                        for m2, c2 in child.items():
+                            m = monomial_mul(m1, m2)
+                            nxt[m] = nxt.get(m, 0) + c1 * c2
+                    if len(nxt) > max_terms and sum(map(bool, nxt.values())) > max_terms:
                         raise TermExplosionError(
                             f"expansion exceeds {max_terms} monomials at node {nd.id}"
                         )
                 acc = nxt
-            polys[nd.id] = acc
-        if len(polys[nd.id]) > max_terms:
+        if circuit.extended:
+            acc = {m: c for m, c in acc.items() if c != 0}
+        if len(acc) > max_terms:
             raise TermExplosionError(f"expansion exceeds {max_terms} monomials at node {nd.id}")
+        polys[nd.id] = acc
     return SparsePolynomial(polys[circuit.root], groups)
 
 
@@ -146,15 +148,10 @@ def is_multilinear(p: SparsePolynomial) -> bool:
 def is_set_multilinear(p: SparsePolynomial) -> bool:
     """True iff every monomial takes exactly one degree-1 factor from each
     variable group in the polynomial's set-scope."""
-    scope_groups = p.set_scope()
-    for m in p.terms:
-        seen: dict[int, int] = {g: 0 for g in scope_groups}
-        for fid, e in m:
-            g = p.variable_groups[fid]
-            seen[g] = seen.get(g, 0) + e
-        if any(count != 1 for count in seen.values()):
-            return False
-    return True
+    k, groups = len(p.set_scope()), p.variable_groups
+    # k factors whose exponent-1 ones fall in k distinct groups: every
+    # factor has exponent 1 and the groups are the whole set-scope
+    return all(len(m) == k and len({groups[f] for f, e in m if e == 1}) == k for m in p.terms)
 
 
 def multilinear_identity_test(p: SparsePolynomial, q: SparsePolynomial) -> bool:

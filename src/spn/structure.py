@@ -9,8 +9,9 @@ unsatisfiability.
 
 from __future__ import annotations
 
-import operator
+import math
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 
 from .circuit import (
@@ -266,6 +267,32 @@ def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:
 ORACLE_MAX_VARS, ORACLE_MAX_DOMAIN = 4, 3
 
 
+@lru_cache(maxsize=128)
+def _lattice_plan(sizes: tuple[int, ...]):
+    """The lattice of a `sizes` shape and its zeta-transform plan.
+
+    Per variable, the lattice lists the non-empty position sets,
+    singletons first.  The plan is the flat sequence of (cell, prefix,
+    last) triples of Yates' method, one axis at a time: after an axis's
+    pass, every cell that is a singleton on all later axes holds its
+    exhaustive sum.  Along the axis, the row of a set is the row of its
+    prefix (an earlier set, so already done) plus the row of its last
+    position p's singleton, which is row p.  The oracle bound admits 121
+    shapes, so every one stays cached.
+    """
+    lattice = tuple([s for r in range(1, k + 1) for s in combinations(range(k), r)] for k in sizes)
+    cells = math.prod(map(len, lattice))
+    plan, stride = [], cells
+    for sets, k in zip(lattice, sizes):
+        block, stride = stride, stride // len(sets)
+        index = {s: t for t, s in enumerate(sets)}
+        for base in range(0, cells, block):
+            for t in range(k, len(sets)):
+                dst, prefix, last = (base + r * stride for r in (t, index[sets[t][:-1]], sets[t][-1]))
+                plan.extend((dst + j, prefix + j, last + j) for j in range(stride))
+    return lattice, tuple(plan)
+
+
 def validity_witness(circuit: Circuit):
     """The first selection that breaks the marginal-substitution identity, or None.
 
@@ -278,36 +305,24 @@ def validity_witness(circuit: Circuit):
     selections (per variable its non-empty position sets, singletons
     first) gives every substituted value; its all-singleton cells are the
     points, and subset sums along one axis at a time (Yates' method, the
-    zeta transform: each set is its prefix plus one singleton) turn them
-    into every exhaustive sum.  Returns
-    (selection, substituted value, exhaustive sum) at the first unequal
-    cell in row-major order, the selection as `Circuit.evaluate_selection`
-    takes it; None if every cell agrees.  Extended circuits are allowed.
+    zeta transform: each set is its prefix plus one singleton, run from
+    one cached plan per lattice shape) turn them into every exhaustive
+    sum.  Returns (selection, substituted value, exhaustive sum) at the
+    first unequal cell in row-major order, the selection as
+    `Circuit.evaluate_selection` takes it; None if every cell agrees.
+    Extended circuits are allowed.
     """
     dep = sorted(circuit.dependency_scope())
-    sizes = [len(circuit.variables[v].domain) for v in dep]
+    sizes = tuple(len(circuit.variables[v].domain) for v in dep)
     if len(dep) > ORACLE_MAX_VARS or any(k > ORACLE_MAX_DOMAIN for k in sizes):
         raise InstanceTooLargeError(
             f"oracle bound exceeded: n <= {ORACLE_MAX_VARS}, |domain| <= {ORACLE_MAX_DOMAIN}"
         )
-    lattice = [[s for r in range(1, k + 1) for s in combinations(range(k), r)] for k in sizes]
+    lattice, plan = _lattice_plan(sizes)
     substituted = circuit.tabulate(dict(zip(dep, lattice)))
-    # One axis at a time: after an axis's pass, every cell that is a
-    # singleton on all later axes holds its exhaustive sum.  Along the
-    # axis, the row of a set is the row of its prefix (an earlier set)
-    # plus the row of its last position p's singleton, which is row p.
     exhaustive = list(substituted)
-    stride = len(exhaustive)
-    for sets, k in zip(lattice, sizes):
-        block, stride = stride, stride // len(sets)
-        index = {s: t for t, s in enumerate(sets)}
-        for base in range(0, len(exhaustive), block):
-            rows = [base + t * stride for t in range(len(sets))]
-            for t in range(k, len(sets)):
-                prefix, last = rows[index[sets[t][:-1]]], rows[sets[t][-1]]
-                exhaustive[rows[t] : rows[t] + stride] = map(
-                    operator.add, exhaustive[prefix : prefix + stride], exhaustive[last : last + stride]
-                )
+    for d, p, q in plan:
+        exhaustive[d] = exhaustive[p] + exhaustive[q]
     if substituted == exhaustive:
         return None
     i = next(i for i, (a, b) in enumerate(zip(substituted, exhaustive)) if a != b)

@@ -190,6 +190,34 @@ def evaluate_via_expansion(circuit: Circuit, assignment: dict) -> Fraction:
     return expand(circuit).evaluate(values)
 
 
+def reference_expand(circuit: Circuit) -> dict:
+    """Output polynomial's term map by plain Fraction arithmetic: every product
+    of two monomials merges their exponents in a dict, and every coefficient
+    that cancels to zero is dropped at once."""
+    polys: dict[int, dict] = {}
+    for node in circuit.nodes:
+        if isinstance(node, LeafNode):
+            polys[node.id] = {((node.leaf_function, 1),): Fraction(1)}
+        elif isinstance(node, ConstantNode):
+            polys[node.id] = {(): Fraction(node.value)} if node.value != 0 else {}
+        else:
+            if isinstance(node, SumNode):
+                terms = [(m, Fraction(w) * c) for ch, w in zip(node.children, node.weights) for m, c in polys[ch].items()]
+            else:
+                terms = [((), Fraction(1))]
+                for ch in node.children:
+                    terms = [(m1 + m2, c1 * c2) for m1, c1 in terms for m2, c2 in polys[ch].items()]
+            acc: dict = {}
+            for m, c in terms:
+                exps: dict[int, int] = {}
+                for fid, e in m:
+                    exps[fid] = exps.get(fid, 0) + e
+                key = tuple(sorted(exps.items()))
+                acc[key] = acc.get(key, Fraction(0)) + c
+            polys[node.id] = {m: c for m, c in acc.items() if c != 0}
+    return polys[circuit.root]
+
+
 def leaf_function_scope(circuit: Circuit, node: int | None = None) -> frozenset[int]:
     """Leaf-function ids of the leaves reachable from `node` (default: the root)."""
     return frozenset(

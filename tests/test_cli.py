@@ -1,6 +1,7 @@
 """End-to-end command-line checks: piping, determinism, exit codes."""
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -200,6 +201,25 @@ def test_circuit_rewrites_are_pinned(pipeline, digest):
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, flags, digest",
+    [
+        # past the 20,000-term cap (node 444), so set_multilinear is null
+        (24, [], "40cefee442843df58309c982333ef4e2c041bfc32b5a8f82ceeffc70e13bd395"),
+        (12, ["--dump-polynomial", "--audit"], "489a8f1dd44d81b8609a3ab8a103c8aaa9452b1986ac24cca4d080d15f24ad28"),
+    ],
+    ids=["majority24", "majority12-dump-audit"],
+)
+def test_check_reports_on_compiled_majority_are_pinned(n, flags, digest, monkeypatch, capsys):
+    # `spn builtin majority --n <n> | spn check <flags>`, in-process
+    from spn import cli
+
+    assert cli.main(["builtin", "majority", "--n", str(n)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert cli.main(["check", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sample_counts():

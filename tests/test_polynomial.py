@@ -6,7 +6,8 @@ import pytest
 
 from spn.circuit import CircuitBuilder
 from spn.errors import SpnError, TermExplosionError
-from spn.machines import build_equal
+from spn.inference import normalize_weights
+from spn.machines import build_equal, compile_fpssm, majority_machine
 from spn.polynomial import (
     SparsePolynomial,
     expand,
@@ -15,8 +16,17 @@ from spn.polynomial import (
     multilinear_identity_test,
 )
 from spn.rng import make_rng
+from spn.structure import cnf_to_extended_spn
 
-from genutil import evaluate_via_expansion, incomplete_valid_fixture, leaf_function_scope, random_free_circuit
+from genutil import (
+    evaluate_via_expansion,
+    incomplete_valid_fixture,
+    leaf_function_scope,
+    random_3cnf,
+    random_dc_circuit,
+    random_free_circuit,
+    reference_expand,
+)
 
 # groups used by the hand-written polynomials below: f0,f1 belong to
 # variable 0 and f2,f3 to variable 1
@@ -65,6 +75,52 @@ def test_expand_cap():
         expand(c, max_terms=10)
 
 
+def test_expand_squaring_chain_adds_exponents():
+    # p_i = p_(i-1) * p_(i-1), 64 deep: one monomial f^(2^64), never
+    # spelled out factor by factor
+    b = CircuitBuilder()
+    f = b.leaf_function(b.variable([0, 1]), {0: 1, 1: 2})
+    p = b.leaf(f)
+    for _ in range(64):
+        p = b.product([p, p])
+    assert expand(b.build(p)).terms == {((f, 2**64),): Fraction(1)}
+
+
+def test_expand_cap_on_compiled_majority_names_the_node():
+    c = compile_fpssm(majority_machine(24))
+    with pytest.raises(TermExplosionError, match=r"^expansion exceeds 20000 monomials at node 444$"):
+        expand(c, max_terms=20000)
+
+
+def test_expand_cap_counts_only_nonzero_terms():
+    # extended circuits cancel: f0 - f0 + f1 has one term, and
+    # (f0 + f1)(f0 - f1) two, with the cross terms cancelling in the product
+    b = CircuitBuilder(extended=True)
+    x = b.variable([0, 1])
+    f0, f1 = b.leaf_function(x, {0: 1, 1: 0}), b.leaf_function(x, {0: 0, 1: 1})
+    l0, l0b, l1 = b.leaf(f0), b.leaf(f0), b.leaf(f1)
+    cancelled = b.sum([(l0, 1), (l0b, -1), (l1, 1)])
+    assert expand(b.build(cancelled), max_terms=1).terms == {((f1, 1),): Fraction(1)}
+    square_difference = b.product([b.sum([(l0, 1), (l1, 1)]), b.sum([(l0, 1), (l1, -1)])])
+    assert expand(b.build(square_difference), max_terms=2).terms == {((f0, 2),): 1, ((f1, 2),): -1}
+
+
+def test_expand_matches_reference_expansion():
+    # free, D&C, extended (cancelling) and normalized (Fraction weights)
+    # circuits: the same term map, every coefficient a Fraction
+    rng = make_rng(21)
+    circuits = [random_free_circuit(rng, max_vars=4, max_domain=3, max_size=18) for _ in range(40)]
+    circuits += [random_free_circuit(rng, pruned=False, zero_weights=True) for _ in range(20)]
+    circuits += [random_dc_circuit(rng, int(rng.integers(2, 5)), domain_size=int(rng.integers(2, 4))) for _ in range(20)]
+    circuits += [cnf_to_extended_spn(random_3cnf(rng, 3, int(rng.integers(1, 5))), 3) for _ in range(20)]
+    circuits += [normalize_weights(random_dc_circuit(rng, 3, max_size=25)) for _ in range(20)]
+    assert any(c.extended for c in circuits)
+    for c in circuits:
+        p = expand(c)
+        assert p.terms == reference_expand(c)
+        assert all(type(coeff) is Fraction for coeff in p.terms.values())
+
+
 def test_is_multilinear():
     assert is_multilinear(poly({((0, 1), (2, 1)): 1}))
     assert not is_multilinear(poly({((0, 2),): 1}))
@@ -90,6 +146,16 @@ def test_set_multilinear_requires_grouping():
 def test_monomial_missing_a_scope_group_is_not_sml():
     p = poly({((0, 1), (2, 1)): 1, ((0, 1),): 1})
     assert not is_set_multilinear(p)
+
+
+def test_set_multilinear_rejects_repeated_groups():
+    # set-scope {0, 1}: a squared factor, or two factors from one group,
+    # fails even when every group is present
+    assert not is_set_multilinear(poly({((0, 2), (2, 1)): 1}))
+    assert not is_set_multilinear(poly({((0, 1), (1, 1), (2, 1)): 1, ((0, 1), (2, 1)): 1}))
+    assert not is_set_multilinear(poly({((0, 1), (2, 2)): 1, ((1, 1), (3, 1)): 1}))
+    assert is_set_multilinear(poly({((0, 1), (2, 1)): 1, ((1, 1), (2, 1)): 5, ((0, 1), (3, 1)): 2}))
+    assert is_set_multilinear(poly({((3, 1),): 1, ((2, 1),): 2}))  # set-scope {1}
 
 
 def test_identity_test_reflexive_and_discriminating():

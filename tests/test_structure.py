@@ -20,6 +20,7 @@ from spn.machines import build_equal
 from spn.polynomial import expand, is_set_multilinear
 from spn.rng import make_rng
 from spn.structure import (
+    _lattice_plan,
     ORACLE_MAX_DOMAIN,
     ORACLE_MAX_VARS,
     analyze,
@@ -335,6 +336,36 @@ def test_witness_on_satisfiable_cnf():
     # x1 (1 - x1 (1 - x1)) with x1 integrated over {0, 1}: the guard
     # reads 1 - 1 * 1, the points 0 and 1
     assert validity_witness(cnf_to_extended_spn([[1]])) == ([(0, 1)], 0, 1)
+
+
+@pytest.mark.parametrize("sizes", [(3,), (1, 3), (3, 3), (2, 3, 2), (2, 2, 2, 2), (3, 3, 3, 3)])
+def test_lattice_plan_gives_every_exhaustive_sum(sizes):
+    # run over a random int table, the cached plan leaves in each cell the
+    # sum of the all-singleton cells its selection covers, whatever the
+    # other cells held before
+    lattice, plan = _lattice_plan(sizes)
+    assert _lattice_plan(sizes) is _lattice_plan(tuple(sizes))
+    cells = list(iter_product(*lattice))
+    table = [int(x) for x in make_rng(len(plan)).integers(-50, 50, size=len(cells))]
+    singletons = {selection: v for selection, v in zip(cells, table) if all(len(s) == 1 for s in selection)}
+    exhaustive = list(table)
+    for d, q, r in plan:
+        exhaustive[d] = exhaustive[q] + exhaustive[r]
+    for selection, value in zip(cells, exhaustive):
+        assert value == sum(singletons[tuple((p,) for p in point)] for point in iter_product(*selection)), selection
+
+
+def test_witness_selects_all_three_positions():
+    # g h k + m over a ternary x, with g, h and k the indicators of 0, 1
+    # and 2: the product vanishes at every point and at every selection
+    # but the full set, so the first unequal cell selects (0, 1, 2), whose
+    # exhaustive sum comes from its prefix (0, 1) within the axis pass
+    b = CircuitBuilder()
+    x = b.variable([0, 1, 2])
+    g, h, k = (b.leaf(b.leaf_function(x, {v: int(v == i) for v in range(3)})) for i in range(3))
+    m = b.leaf(b.leaf_function(x, {0: 1, 1: 2, 2: 4}))
+    c = b.build(b.sum([(b.product([g, h, k]), 1), (m, 1)]))
+    assert validity_witness(c) == ([(0, 1, 2)], 8, 7)
 
 
 def test_oracle_on_constant_root():
