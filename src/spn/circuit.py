@@ -306,11 +306,11 @@ class Circuit:
     def position(self, var: int, value) -> int:
         """Index of `value` in the domain of variable `var` (UnknownVariableError / DomainError otherwise)."""
         if not 0 <= var < len(self.variables):
-            raise UnknownVariableError(f"unknown variable {var}")
+            raise UnknownVariableError(f"unknown variable {var!s:.40}")
         try:
             return self._eval_plan()[1][var][value][0]
         except (KeyError, TypeError):
-            raise DomainError(f"value {value} not in domain of variable {var}") from None
+            raise DomainError(f"value {value!s:.40} not in domain of variable {var}") from None
 
     def select(self, assignment) -> list[tuple[int, ...]]:
         """Map a point to a selection: per variable, the 1-tuple of its domain position.
@@ -324,7 +324,7 @@ class Circuit:
         n = len(self.variables)
         for var in assignment:
             if not (0 <= var < n):
-                raise UnknownVariableError(f"unknown variable {var}")
+                raise UnknownVariableError(f"unknown variable {var!s:.40}")
         positions = self._eval_plan()[1]
         selection = [(0,)] * n
         for var in self.dependency_scope():
@@ -333,7 +333,7 @@ class Circuit:
             try:
                 selection[var] = positions[var][assignment[var]]
             except (KeyError, TypeError):
-                raise DomainError(f"value {assignment[var]} not in domain of variable {var}") from None
+                raise DomainError(f"value {assignment[var]!s:.40} not in domain of variable {var}") from None
         return selection
 
     def evaluate(self, assignment) -> Rational:

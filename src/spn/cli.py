@@ -56,7 +56,7 @@ def _emit_report(args, command: str, payload: dict):
         if k not in ("func", "format") and v is not None
     }
     report = {"command": command, "version": __version__, "config": config}
-    report.update(payload)
+    report.update({k: list(v) if isinstance(v, tuple) else v for k, v in payload.items()})
     if getattr(args, "format", "json") == "table":
         for key, value in report.items():
             if isinstance(value, dict):
@@ -96,9 +96,12 @@ def _parse_assignment(spec: str) -> dict:
             continue
         var, _, val = item.partition("=")
         try:
-            out[int(var)] = as_fraction(val)
+            var, val = int(var), as_fraction(val)
         except (ValueError, ZeroDivisionError):
-            raise SpnError(f"bad assignment {item!r}; use var=value, e.g. 0=1,1=1/2") from None
+            raise SpnError(f"bad assignment {item!r:.40}; use var=value, e.g. 0=1,1=1/2") from None
+        if var in out:
+            raise SpnError(f"assignment repeats variable {var}")
+        out[var] = val
     return out
 
 
@@ -110,23 +113,9 @@ def cmd_check(args):
     from .structure import analyze, brute_force_validity
 
     circuit = _load_circuit(args.circuit)
-    if circuit.extended:
-        # Structural D&C analysis is defined for monotone circuits only;
-        # the brute-force oracle below still applies.
-        payload = {"extended": True}
-    else:
-        report = analyze(circuit)
-        payload = {
-            "decomposable": report.decomposable,
-            "decomposability_violations": list(report.decomposability_violations),
-            "complete": report.complete,
-            "completeness_violations": list(report.completeness_violations),
-            "non_degenerate": report.non_degenerate,
-            "degeneracy_offenders": list(report.degeneracy_offenders),
-            "all_variables_nontrivial": report.all_variables_nontrivial,
-            "strongly_valid": report.strongly_valid,
-            "extended": False,
-        }
+    # Structural D&C analysis is defined for monotone circuits only;
+    # the brute-force oracle below still applies.
+    payload = {"extended": True} if circuit.extended else {**analyze(circuit)._asdict(), "extended": False}
     try:
         expanded = expand(circuit, max_terms=20000)
         payload["set_multilinear"] = is_set_multilinear(expanded)
@@ -228,14 +217,16 @@ def cmd_builtin(args):
 
 def cmd_rank(args):
     """`rank` and `depth3-report`: the latter adds the implied width floor."""
-    from .separation import circuit_evaluator, depth3_bound_report
+    from .linalg import exact_rank
+    from .separation import circuit_evaluator, comm_matrix
 
     circuit = _load_circuit(args.circuit)
     n = len(circuit.variables)
-    report = depth3_bound_report(circuit_evaluator(circuit), n, _parse_partition(args.partition, n))
-    payload = {"n": n, **report["partition"], "rank": report["rank"]}
+    matrix = comm_matrix(circuit_evaluator(circuit), n, _parse_partition(args.partition, n))
+    payload = {"n": n, "A": matrix.block_a, "B": matrix.block_b, "rank": exact_rank(matrix.entries)}
     if args.command == "depth3-report":
-        payload["min_second_layer_width"] = report["min_second_layer_width"]
+        # a depth-3 D&C circuit for the function has at least rank-many second-layer products
+        payload["min_second_layer_width"] = payload["rank"]
     _emit_report(args, args.command, payload)
     return 0
 
@@ -349,7 +340,7 @@ def _parse_labels(spec: str | None, what: str) -> list[int]:
         try:
             labels.append(int(token))
         except ValueError:
-            raise SpnError(f"bad {what} entry {token!r}; use integers, e.g. 0,3,5") from None
+            raise SpnError(f"bad {what} entry {token!r:.40}; use integers, e.g. 0,3,5") from None
     return labels
 
 

@@ -17,21 +17,9 @@ from operator import itemgetter
 
 from .circuit import Circuit, ConstantNode, ProductNode, Rational, as_rational, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
-from .linalg import exact_rank, integer_rank, scaled_row
+from .linalg import exact_rank, integer_rank, scaled_row  # noqa: F401 (exact_rank is re-exported)
 from .records import Record
 from .structure import excise, is_dc, rewrite
-
-__all__ = [
-    "CommMatrix",
-    "comm_matrix",
-    "exact_rank",
-    "perturbation_rank_bound",
-    "binarize_products",
-    "DecompositionTerm",
-    "Decomposition",
-    "decompose",
-    "depth3_bound_report",
-]
 
 
 class CommMatrix(Record, namedtuple("CommMatrix", "block_a block_b entries")):
@@ -58,12 +46,12 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
     for block in (block_a, block_b):
         for v, w in zip(block, block[1:]):
             if v == w:
-                raise SpnError(f"partition block repeats variable {v}")
+                raise SpnError(f"partition block repeats variable {v!s:.40}")
     if set(block_a) & set(block_b):
         raise SpnError("partition blocks overlap")
     for v in block_a + block_b:
         if not 0 <= v < n:
-            raise SpnError(f"partition variable {v} is not among the variables 0..{n - 1}")
+            raise SpnError(f"partition variable {v!s:.40} is not among the variables 0..{n - 1}")
     if set(block_a) | set(block_b) != set(range(n)):
         raise SpnError("partition must cover all variables")
     if len(block_a) > max_block or len(block_b) > max_block:
@@ -267,14 +255,3 @@ def decompose(circuit: Circuit) -> Decomposition:
         raise SpnError("decomposition produced more than size^2 terms")
     return Decomposition(tuple(terms), source_size)
 
-
-def depth3_bound_report(fn, n: int, partition: tuple) -> dict:
-    """Rank of the communication matrix and the implied depth-3 width floor."""
-    matrix = comm_matrix(fn, n, partition)
-    rank = exact_rank(matrix.entries)
-    return {
-        "n": n,
-        "partition": {"A": list(matrix.block_a), "B": list(matrix.block_b)},
-        "rank": rank,
-        "min_second_layer_width": rank,
-    }

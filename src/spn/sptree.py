@@ -34,6 +34,11 @@ class EdgeIndexing(Record, namedtuple("EdgeIndexing", "m")):
 
     __slots__ = ()
 
+    def __new__(cls, m: int):
+        if m < 0:  # the K_m entry points past counts and walks (those need m >= 2) pass here
+            raise SpnError(f"K_m needs a non-negative vertex count, got {m}")
+        return super().__new__(cls, m)
+
     @property
     def n(self) -> int:
         return self.m * (self.m - 1) // 2
@@ -147,7 +152,7 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
         if not isinstance(label, (int, Integral)):  # int first: the abstract check is slow
             raise SpnError(f"edge label {label!r} is not an integer")
         if not 0 <= label < n:
-            raise SpnError(f"edge label {label} out of range for K_{m}")
+            raise SpnError(f"edge label {label!s:.40} out of range for K_{m}")
         if value not in (0, 1):
             raise SpnError(f"edge {label} must be fixed to 0 or 1, got {value!r}")
         (present if value == 1 else absent).append(label)
@@ -274,7 +279,7 @@ def check_coloring(m: int, coloring) -> tuple[str, ...]:
 
 def iter_triangles(m: int):
     """All vertex triples with their three edge labels."""
-    row = _row_offsets(m)
+    row = _row_offsets(EdgeIndexing(m).m)
     for a, b, c in combinations(range(m), 3):
         yield (a, b, c), (row[a] + b, row[a] + c, row[b] + c)
 

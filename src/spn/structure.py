@@ -410,7 +410,7 @@ def parse_dimacs(text: str) -> tuple[list[list[int]], int]:
         try:
             return int(tok)
         except ValueError:
-            raise SerializationError(f"DIMACS line {lineno}: {tok!r} is not an integer") from None
+            raise SerializationError(f"DIMACS line {lineno}: {tok!r:.40} is not an integer") from None
 
     clauses: list[list[int]] = []
     declared = 0
@@ -422,7 +422,7 @@ def parse_dimacs(text: str) -> tuple[list[list[int]], int]:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
-                raise SerializationError(f"DIMACS line {lineno}: bad header {line!r}")
+                raise SerializationError(f"DIMACS line {lineno}: bad header {line!r:.40}")
             declared = integer(parts[2], lineno)
             integer(parts[3], lineno)  # the clause count is checked, not used
             continue

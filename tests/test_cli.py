@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from spn.circuit import Circuit, CircuitBuilder, deserialize, serialize
+from spn.errors import SpnError
 from spn.inference import normalize_weights
 from spn.machines import MAX_EQUAL_N, MAX_ONE_HOT_CELLS, build_equal, compile_fpssm, majority_machine, parity_machine
 from spn.rng import make_rng
@@ -770,6 +771,82 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
             "seed must be a non-negative integer, got -1",
         ),
     ]
+    # tokens that parse past INT_DIGITS (20,000 digits) or parse and are then rejected (10,000)
+    huge, big = "9" * 20_000, "9" * 10_000
+    cases += [
+        (["eval", "--assign", "0=1,0=0,1=0,2=1", str(path)], "a repeated variable, first value 1"),
+        (["eval", "--assign", "0=0,1=0,2=1,0=1", str(path)], "a repeated variable, last value 1"),
+        (["eval", "--assign", "0=" + huge, str(path)], "a 20,000-digit value"),
+        (["eval", "--assign", huge + "=1", str(path)], "a 20,000-digit variable"),
+        (["eval", "--assign", "0=1,1=0,2=" + big, str(path)], "a 10,000-digit value"),
+        (["eval", "--assign", "0=1,1=0,2=1/" + big, str(path)], "a value with a 10,000-digit denominator"),
+        (["eval", "--assign", big + "=1", str(path)], "a 10,000-digit variable"),
+        (["rank", "--partition", "A=" + huge, str(path)], "a 20,000-digit partition entry"),
+        (["rank", "--partition", "A=" + big, str(path)], "a 10,000-digit partition variable"),
+        (["depth3-report", "--partition", f"A={big},{big}", str(path)], "a repeated 10,000-digit partition variable"),
+    ]
+    dimacs = tmp_path / "long.cnf"
+    dimacs.write_text(f"p cnf 2 1\n1 -{huge} 0\n")
+    cases.append((["cnf2spn", str(dimacs)], "a 20,000-digit DIMACS literal"))
+    parity = {
+        "n": 2,
+        "state_size": 2,
+        "initial_state": 0,
+        "transitions": [{"0": [0, 1], "1": [1, 0]}] * 2,
+        "decode": [0, 1],
+    }
+    machines = {
+        "an order that repeats a variable": {**parity, "order": [0, 0]},
+        "an order past n": {**parity, "order": [0, 2]},
+        "an order that is not an array": {**parity, "order": "01"},
+        "one transition table short": {**parity, "transitions": parity["transitions"][:1]},
+        "a short next-state tuple": {**parity, "transitions": [{"0": [0], "1": [1, 0]}] * 2},
+        "a next state past k": {**parity, "transitions": [{"0": [0, 2], "1": [1, 0]}] * 2},
+        "a transition table missing a value": {**parity, "transitions": [{"0": [0, 1]}] * 2},
+        "a negative decode": {**parity, "decode": [-1, 1]},
+        "a negative rational decode": {**parity, "decode": ["-1/2", 1]},
+        "a short decode": {**parity, "decode": [1]},
+        "domains that are not an array": {**parity, "domains": "01"},
+        "a domain that is a number": {**parity, "domains": [5, [0, 1]]},
+        "a domain that is an object": {**parity, "domains": [{"0": 1}, [0, 1]]},
+        "one domain short": {**parity, "domains": [[0, 1]]},
+        "an initial state past k": {**parity, "initial_state": 2},
+    }
+    for label, doc in machines.items():
+        bad = tmp_path / f"machine{len(cases)}.json"
+        bad.write_text(json.dumps(doc))
+        cases.append((["compile", "fpssm", str(bad)], label))
+    for option, labels in [
+        ("--present", "1.5"),
+        ("--present", " "),
+        ("--absent", "0,x"),
+        ("--absent", "0,,-7"),
+        ("--present", huge),
+        ("--present", big),
+        ("--absent", big),
+    ]:
+        cases.append((["sptree", "count", "--m", "4", option, labels], f"sptree count {option} {labels[:20]}"))
+    colorings = {
+        "a coloring one edge short": ["r"] * 5,
+        "a coloring one edge long": ["r"] * 7,
+        "a coloring with another color": ["r"] * 5 + ["g"],
+        "a coloring of numbers": [0] * 6,
+        "a coloring of arrays": [["r"]] * 6,
+        "a coloring of objects": [{"r": 1}] * 6,
+        "a coloring that is null": None,
+        "a coloring that is a string": "rbrbrb",
+    }
+    for label, doc in colorings.items():
+        bad = tmp_path / f"coloring{len(cases)}.json"
+        bad.write_text(json.dumps(doc))
+        cases += [
+            (["sptree", "triangles", "--m", "4", "--coloring", str(bad)], label),
+            (["sptree", "fraction-experiment", "--m", "4", "--seed", "1", "--coloring", str(bad)], label),
+        ]
+    cases += [
+        (["sptree", "triangles", "--m", "-3", "--coloring", str(coloring)], "triangles of K_-3"),
+        (["sptree", "fraction-experiment", "--m", "-3", "--seed", "1", "--coloring", str(coloring)], "K_-3"),
+    ]
     for where, doc, commands in _malformed_corpus():
         text = json.dumps(doc)
         path = tmp_path / f"case{len(cases)}.json"
@@ -784,6 +861,157 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         assert rc in (1, 2) and out == "", (label, args)
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (label, args, err[:500])
         assert elapsed < 2.0 and len(err) < 10_000, (label, args, elapsed, err[:500])
+
+
+def test_assignment_error_lines_are_pinned(tmp_path, capsys):
+    from spn import cli
+
+    path = tmp_path / "circuit.json"
+    path.write_text(serialize(_corpus_circuit()))
+    for spec, line in [
+        ("0=x", "bad assignment '0=x'; use var=value, e.g. 0=1,1=1/2"),
+        ("0=1,0=0,1=0,2=1", "assignment repeats variable 0"),
+        ("2=1,0=0,1=0,2=0", "assignment repeats variable 2"),
+        ("0=" + "9" * 20_000, "bad assignment '0=" + "9" * 37 + "; use var=value, e.g. 0=1,1=1/2"),
+        ("0=1,1=0,2=" + "9" * 10_000, "value " + "9" * 40 + " not in domain of variable 2"),
+        ("9" * 10_000 + "=1", "unknown variable " + "9" * 40),
+    ]:
+        assert cli.main(["eval", "--assign", spec, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def _deep_circuit(kind):
+    """x's leaf under a 10,000-deep chain of one-child sums or products, or under a
+    3,000-deep DAG whose level i is level(i-1) * 1/2 + level(i-1) with one shared
+    constant 1/2 (2^3000 root-to-leaf paths), times a leaf over y."""
+    b = CircuitBuilder()
+    x, y = b.variable([0, 1]), b.variable([0, 1])
+    node = b.leaf(b.leaf_function(x, {0: 1, 1: 3}))
+    if kind == "shared":
+        half = b.constant(Fraction(1, 2))
+        for _ in range(3000):
+            node = b.sum([(b.product([node, half]), 1), (node, 1)])
+    else:
+        for _ in range(10_000):
+            node = b.sum([(node, 1)]) if kind == "sum" else b.product([node])
+    return b.build(b.product([node, b.leaf(b.leaf_function(y, {0: 2, 1: 1}))]))
+
+
+@pytest.mark.parametrize("kind, scale", [("sum", 1), ("product", 1), ("shared", Fraction(3, 2) ** 3000)])
+def test_deep_circuits_run_through_every_command(kind, scale, tmp_path, capsys):
+    from spn import cli
+
+    path, normalized, query = (tmp_path / name for name in ("deep.json", "normalized.json", "query.json"))
+    path.write_text(serialize(_deep_circuit(kind)))
+    query.write_text(json.dumps({"integrate_over": {"0": [0, 1]}, "fixed": {"1": 0}}))
+    reports = {}
+    for args in (
+        ["check", str(path)],
+        ["eval", "--assign", "0=1,1=0", str(path)],
+        ["partition", str(path)],
+        ["marginalize", "--query", str(query), str(path)],
+        ["rank", str(path)],
+        ["depth3-report", str(path)],
+        ["normalize", str(path), "-o", str(normalized)],
+        ["sample", "-n", "5", "--seed", "1", str(normalized)],
+    ):
+        start = time.perf_counter()
+        rc = cli.main(args)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "") and elapsed < 5.0, (args, elapsed)
+        reports[args[0]] = out
+    check = json.loads(reports["check"])
+    assert check["strongly_valid"] and check["set_multilinear"] and check["brute_force_valid"]
+    assert json.loads(reports["eval"])["value"] == str(6 * scale)
+    assert json.loads(reports["partition"])["partition_function"] == str(12 * scale)
+    assert json.loads(reports["marginalize"])["value"] == str(8 * scale)
+    assert json.loads(reports["depth3-report"])["min_second_layer_width"] == json.loads(reports["rank"])["rank"] == 1
+    assert len(reports["sample"].splitlines()) == 5
+
+
+@pytest.mark.parametrize("command", ["rank", "depth3-report"])
+def test_bad_partition_fails_before_any_tabulation(command, tmp_path, monkeypatch, capsys):
+    from spn import cli
+
+    def tabulate(*args, **kwargs):
+        raise SpnError("tabulated")
+
+    monkeypatch.setattr(Circuit, "tabulate", tabulate)
+    path = tmp_path / "equal.json"
+    path.write_text(serialize(build_equal(4)))
+    for spec, line in [
+        ("A=0,0", "partition block repeats variable 0"),
+        ("A=0,4", "partition variable 4 is not among the variables 0..3"),
+        ("A=-1", "partition variable -1 is not among the variables 0..3"),
+        ("A=x", "bad partition entry 'x'; use integers, e.g. 0,3,5"),
+        ("halves", "bad partition spec 'halves'; use 'first-half' or 'A=0,1,2'"),
+        ("first-half", "tabulated"),  # a good partition reaches the table
+    ]:
+        assert cli.main([command, "--partition", spec, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n"), spec
+
+
+def _readme_caps():
+    """(cap, limit, module) of each row of the README's input-caps table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Input caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cap, limit, _, module = (cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1])
+            rows.append((cap.replace("`", ""), int(limit.split()[0].replace(",", "")), module.strip("`")))
+    return rows
+
+
+def test_readme_caps_table_matches_the_code(tmp_path, monkeypatch, capsys):
+    import importlib
+
+    from spn import cli, polynomial
+    from spn.errors import InstanceTooLargeError
+    from spn.separation import comm_matrix
+    from spn.sptree import constraint_fraction_experiment
+    from spn.structure import cnf_satisfiable, cnf_to_extended_spn
+
+    def at_cap(call, cap):
+        """`call` runs at `cap` and raises naming the cap just past it."""
+        call(cap)
+        with pytest.raises(InstanceTooLargeError, match=rf"\b{cap}\b"):
+            call(cap + 1)
+
+    def check_terms(cap):
+        caps, expand = [], polynomial.expand
+        monkeypatch.setattr(polynomial, "expand", lambda c, max_terms: caps.append(max_terms) or expand(c, max_terms))
+        path = tmp_path / "equal.json"
+        path.write_text(serialize(build_equal(2)))
+        assert cli.main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert caps == [cap]
+
+    # caps written as literals in the code, probed by their behavior
+    probes = {
+        "comm_matrix block": lambda cap: at_cap(
+            lambda k: comm_matrix(lambda x: 0, k + 1, (range(k), [k])), cap
+        ),
+        "cnf_to_extended_spn variables": lambda cap: at_cap(lambda k: cnf_to_extended_spn([[k]]), cap),
+        "cnf_satisfiable variables": lambda cap: at_cap(lambda k: cnf_satisfiable([[-1]], k), cap),
+        "spn check terms": check_terms,
+        "constraint_fraction_experiment vertices": lambda cap: at_cap(
+            lambda m: constraint_fraction_experiment(m, 0, 0, constraints=[]), cap
+        ),
+    }
+    rows = _readme_caps()
+    named = {cap for cap, _, _ in rows if cap.isidentifier()}
+    assert named == {
+        "MAX_TABLE_CELLS", "MAX_TABLE_VARS", "ORACLE_MAX_VARS", "ORACLE_MAX_DOMAIN", "DEFAULT_TERM_CAP",
+        "MAX_ONE_HOT_CELLS", "MAX_EQUAL_N", "MAX_VERTICES", "INT_DIGITS",
+    }
+    assert {cap for cap, _, _ in rows} - named == set(probes)
+    for cap, limit, module in rows:
+        if cap in named:
+            assert getattr(importlib.import_module(module), cap) == limit, cap
+        else:
+            probes[cap](limit)
 
 
 def test_cli_prints_exact_counts_up_to_max_vertices(capsys):

