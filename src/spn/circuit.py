@@ -21,6 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -462,11 +463,16 @@ class NodeTable:
         a = self.values
         if other.__class__ is not NodeTable:
             return NodeTable(self.vars, self.sizes, [op(x, other) for x in a])
+        b = other.values
         if other.vars == self.vars:
-            return NodeTable(self.vars, self.sizes, list(map(op, a, other.values)))
-        align = _cached_alignment if len(a) * len(other.values) <= _CACHED_CELLS else _alignment
-        vars_, sizes, ia, ib = align(self.vars, self.sizes, other.vars, other.sizes)
-        return NodeTable(vars_, sizes, list(map(op, map(a.__getitem__, ia), map(other.values.__getitem__, ib))))
+            return NodeTable(self.vars, self.sizes, list(map(op, a, b)))
+        vars_, sizes, outer, ca, cb, pick_a, pick_b = _broadcast_plan(self.vars, self.sizes, other.vars, other.sizes)
+        if outer is None:  # the union grid fits in one block
+            return NodeTable(vars_, sizes, list(map(op, pick_a(a), pick_b(b))))
+        out = []
+        for oa, ob in zip(_spread_index(*outer[0]), _spread_index(*outer[1])):
+            out += map(op, pick_a(a[oa * ca : oa * ca + ca]), pick_b(b[ob * cb : ob * cb + cb]))
+        return NodeTable(vars_, sizes, out)
 
     def __add__(self, other):
         if other.__class__ is int and other == 0:
@@ -497,22 +503,45 @@ def _spread_index(vars_, sizes, out_vars, out_sizes) -> list[int]:
     return index
 
 
-def _alignment(vars_a, sizes_a, vars_b, sizes_b):
-    """The union grid of two tables' grids, and each table's `_spread_index` onto it."""
+# Plans recur across the nodes of a circuit and across circuits, and each
+# holds at most 2 * _BLOCK_CELLS indices, so 256 of them are kept.
+_BLOCK_CELLS = 1 << 10
+
+
+@lru_cache(maxsize=256)
+def _broadcast_plan(vars_a, sizes_a, vars_b, sizes_b):
+    """How two tables broadcast onto the grid of the union of their variables.
+
+    The union grid's trailing variables, as many as span at most
+    `_BLOCK_CELLS` cells, form its inner grid and the rest its outer grid.
+    At each outer point a table gives one contiguous block of its values,
+    and one alignment of the two blocks onto the inner grid serves every
+    outer point.  Returns the union grid; the `_spread_index` arguments
+    giving each table's block number per outer point (None when the outer
+    grid is empty); each block's length; and per table an `itemgetter` of
+    its block's values in inner-grid order.
+    """
     grid = dict(zip(vars_a, sizes_a))
     grid.update(zip(vars_b, sizes_b))
     vars_ = tuple(sorted(grid))
     sizes = tuple(grid[v] for v in vars_)
-    index_a = tuple(_spread_index(vars_a, sizes_a, vars_, sizes))
-    index_b = tuple(_spread_index(vars_b, sizes_b, vars_, sizes))
-    return vars_, sizes, index_a, index_b
-
-
-# Small grids recur across the nodes of a circuit and across circuits, so
-# their alignments are kept (at most 256, of at most 1,024 cells each);
-# large ones are rebuilt rather than held.
-_CACHED_CELLS = 1 << 10
-_cached_alignment = lru_cache(maxsize=256)(_alignment)
+    k, inner = len(vars_), 1
+    while k and inner * sizes[k - 1] <= _BLOCK_CELLS:
+        k -= 1
+        inner *= sizes[k]
+    split = vars_[k] if k < len(vars_) else math.inf
+    ja, jb = sum(v < split for v in vars_a), sum(v < split for v in vars_b)
+    pick_a, pick_b = (
+        itemgetter(*index) if len(index) > 1 else tuple  # a one-cell block is in order (and itemgetter(0) is no tuple)
+        for index in (
+            _spread_index(vars_a[ja:], sizes_a[ja:], vars_[k:], sizes[k:]),
+            _spread_index(vars_b[jb:], sizes_b[jb:], vars_[k:], sizes[k:]),
+        )
+    )
+    outer = None
+    if k:
+        outer = ((vars_a[:ja], sizes_a[:ja], vars_[:k], sizes[:k]), (vars_b[:jb], sizes_b[:jb], vars_[:k], sizes[:k]))
+    return vars_, sizes, outer, math.prod(sizes_a[ja:]), math.prod(sizes_b[jb:]), pick_a, pick_b
 
 
 class CircuitBuilder:

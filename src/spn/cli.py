@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -80,11 +81,23 @@ def _parse_partition(spec: str, n: int):
     raise SpnError(f"bad partition spec {spec!r}; use 'first-half' or 'A=0,1,2'")
 
 
+def _int(text: str) -> int:
+    """argparse type of --n, --m and --seed: an integer.  Digits past the int/str
+    digit limit raise SpnError, one `error:` line from `main` echoing 40 of them
+    (argparse's usage error would echo them all); other junk is a usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise SpnError(f"integer {text!s:.40} has more than {sys.get_int_max_str_digits()} digits") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r:.40}") from None
+
+
 def _count(text: str) -> int:
     """argparse type of a number of draws: a non-negative integer."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r:.40}")
+    return _int(text)
 
 
 def _parse_assignment(spec: str) -> dict:
@@ -401,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", cmd_sample, help="draw assignments (CSV, one per line)")
     circuit_arg(p)
     p.add_argument("-n", "--count", type=_count, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("-o", "--output", default=None)
 
     p = add("compile", cmd_compile, help="compile a machine description to a circuit")
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("builtin", cmd_builtin, help="emit a built-in circuit")
     p.add_argument("name", choices=BUILTINS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("-o", "--output", default=None)
 
     p = add("rank", cmd_rank, help="exact communication-matrix rank")
@@ -437,30 +450,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("count", help="consistent spanning trees for a partial assignment")
     p.set_defaults(func=cmd_sptree_count)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--present", default=None, help="comma-separated edge labels forced present")
     p.add_argument("--absent", default=None, help="comma-separated edge labels forced absent")
     format_flag(p)
 
     p = ssub.add_parser("sample", help="uniform spanning trees (edge-indicator CSV)")
     p.set_defaults(func=cmd_sptree_sample)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("-n", "--count", type=_count, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("-o", "--output", default=None)
 
     p = ssub.add_parser("triangles", help="dichromatic-triangle counts for a coloring")
     p.set_defaults(func=cmd_sptree_triangles)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--coloring", required=True, help="JSON array of 'r'/'b' in edge-label order")
     format_flag(p)
 
     p = ssub.add_parser("fraction-experiment", help="constraint-obedience fraction of sampled trees")
     p.set_defaults(func=cmd_sptree_fraction)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--coloring", required=True)
     p.add_argument("-n", "--samples", type=_count, default=10000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--strategy", choices=["pair", "single"], default="pair")
     format_flag(p)
 
@@ -468,15 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # ints of up to INT_DIGITS digits parse and print while a command runs (the limit exists
-    # from 3.10.7); a finite bound keeps parsing a huge literal from taking quadratic time
+    # from 3.10.7); a finite bound keeps parsing a huge literal from taking quadratic time.
+    # Options are parsed first, under the interpreter's limit (see `_int`).
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     lift = 0 < digits < INT_DIGITS
-    if lift:
-        sys.set_int_max_str_digits(INT_DIGITS)
     try:
+        args = build_parser().parse_args(argv)
+        if lift:
+            sys.set_int_max_str_digits(INT_DIGITS)
         return args.func(args)
     except (SpnError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,15 +73,15 @@ class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed"))
         variables the position of their value (see Circuit.evaluate_selection).
         """
         dep = circuit.dependency_scope()
-        keys_i = set(self.integrate_over)
-        keys_f = set(self.fixed)
-        if keys_i & keys_f:
-            raise SpnError(f"query keys overlap: {sorted(keys_i & keys_f)}")
-        if keys_i | keys_f != set(dep):
-            raise SpnError(
-                "query must partition the dependency-scope "
-                f"{sorted(dep)}, got {sorted(keys_i | keys_f)}"
-            )
+        for v in self.fixed:
+            if v in self.integrate_over:
+                raise SpnError(f"query keys overlap: variable {v!s:.40} is both integrated and fixed")
+        for v in (*self.integrate_over, *self.fixed):
+            if v not in dep:
+                raise SpnError(f"query must partition the dependency-scope: variable {v!s:.40} is not in it")
+        missing = dep.difference(self.integrate_over, self.fixed)
+        if missing:
+            raise SpnError(f"query must partition the dependency-scope: it misses variable {min(missing)}")
         selection = [(0,)] * len(circuit.variables)
         for v, s in self.integrate_over.items():
             selection[v] = _set_positions(circuit, v, s)

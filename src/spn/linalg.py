@@ -68,10 +68,12 @@ def scaled_row(row) -> tuple[list[int], int]:
     """(integers, q) with row == integers / q, q the lcm of the entries' denominators.
 
     Entries may be ints, Fractions, 'p/q' strings or floats (converted
-    exactly); plain ints are used as they are.  Each entry is read once,
-    by `as_integer_ratio()`, which is cheaper than Fraction's
-    `numerator` and `denominator` properties.
+    exactly).  A row of plain ints is copied with q = 1; in other rows each
+    entry is read once, by `as_integer_ratio()`, which is cheaper than
+    Fraction's `numerator` and `denominator` properties.
     """
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
     pairs = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in row]
     q = lcm(*[d for _, d in pairs])
     return [p * (q // d) for p, d in pairs], q

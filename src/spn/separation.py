@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import itemgetter
 
-from .circuit import Circuit, ConstantNode, ProductNode, Rational, as_rational, node_children
+from .circuit import Circuit, ConstantNode, ProductNode, Rational, _spread_index, as_rational, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank, integer_rank, scaled_row  # noqa: F401 (exact_rank is re-exported)
 from .records import Record
@@ -36,11 +36,17 @@ class CommMatrix(Record, namedtuple("CommMatrix", "block_a block_b entries")):
 def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix:
     """Tabulate fn over all binary assignments, split by the partition.
 
-    `fn` takes a tuple of n zeros/ones indexed by variable id and is called
-    once per entry, row by row.  Each block's bit tuples are built once,
-    and each point is one `itemgetter` over the row's bits followed by the
-    column's, which puts the variables back in id order (equal(20) with
-    `circuit_evaluator`: about 1.5 µs an entry on a 2-vCPU VM).
+    `fn` takes a tuple of n zeros/ones indexed by variable id.  An evaluator
+    from `circuit_evaluator`, whose circuit has n variables and 0 and 1 in
+    the domain of each variable of its dependency-scope, is read from one
+    `Circuit.tabulate` over those bits: a row's and a column's offsets in
+    the table are sums of per-variable strides (`circuit._spread_index`),
+    built once per block, so no per-entry call is made (`spn builtin equal
+    --n 20 | spn rank` about 0.33 s on a 2-vCPU VM).  Any other `fn` is
+    called once per entry, row by row, each point put in variable-id order
+    by one `itemgetter` over the row's bits and the column's (about 1.5 µs
+    an entry plus the call); so is an evaluator whose circuit lacks a bit,
+    which raises the error a point evaluation gives at the first such entry.
     """
     block_a, block_b = (tuple(sorted(partition[0])), tuple(sorted(partition[1])))
     for block in (block_a, block_b):
@@ -56,6 +62,10 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
         raise SpnError("partition must cover all variables")
     if len(block_a) > max_block or len(block_b) > max_block:
         raise InstanceTooLargeError(f"blocks limited to {max_block} variables")
+    if isinstance(fn, CircuitEvaluator):
+        entries = _table_entries(fn.circuit, n, block_a, block_b)
+        if entries is not None:
+            return CommMatrix(block_a, block_b, entries)
     rows, cols = (
         [tuple((index >> i) & 1 for i in range(len(block))) for index in range(1 << len(block))]
         for block in (block_a, block_b)
@@ -65,47 +75,41 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
     return CommMatrix(block_a, block_b, tuple(tuple([fn(arrange(r + c)) for c in cols]) for r in rows))
 
 
-def circuit_evaluator(circuit: Circuit):
-    """Adapt a circuit to the tuple-of-bits interface of comm_matrix.
+def _table_entries(circuit: Circuit, n: int, block_a: tuple, block_b: tuple) -> tuple | None:
+    """comm_matrix's entries read from one tabulation of the circuit over the
+    bits of its dependency-scope, or None when a point evaluation would not
+    read them all from that table (n is not the circuit's variable count,
+    or a scope variable lacks bit 0 or 1)."""
+    scope = sorted(circuit.dependency_scope())
+    domains = [circuit.variables[v].domain for v in scope]
+    if n != len(circuit.variables) or not all(0 in d and 1 in d for d in domains):
+        return None
+    table = circuit.tabulate({v: [(d.index(0),), (d.index(1),)] for v, d in zip(scope, domains)})
+    # bit i of an entry's row (column) number is block[i]'s value, so block[0] varies fastest
+    rows, cols = (_spread_index(scope, [2] * len(scope), block[::-1], [2] * len(block)) for block in (block_a, block_b))
+    if cols == list(range(len(cols))):  # B's variables are the table's last (`first-half`): rows are slices
+        return tuple(tuple(table[r : r + len(cols)]) for r in rows)
+    get = table.__getitem__
+    return tuple(tuple(map(get, map(r.__add__, cols))) for r in rows)
 
-    The first call tabulates the circuit once over the bits 0 and 1 of
-    each variable it depends on (`Circuit.tabulate`), so that comm_matrix
-    checks its partition before any work.  The table's variables split
-    into a high and a low half; per half, one dict maps the half's bits,
-    read from a point by one `itemgetter`, to its offset, so a call is two
-    lookups and an index: `spn builtin equal --n 20 | spn rank`, 2^20
-    calls, takes about 2.4 s on a 2-vCPU VM.  The dicts hold about
-    √cells keys each; one keyed by whole points would hold a tuple per
-    cell.  A point off the table (a bit outside a domain, a tuple of the
-    wrong length) goes through `Circuit.evaluate`, which gives its value
-    or its error.
+
+class CircuitEvaluator(Record, namedtuple("CircuitEvaluator", "circuit")):
+    """A circuit adapted to the tuple-of-bits interface of comm_matrix
+    (`circuit_evaluator(circuit)`).
+
+    A call is `Circuit.evaluate` at the point, with its value or its error.
+    comm_matrix recognises the evaluator and reads its matrix from one
+    tabulation of the circuit instead of calling it per entry (see
+    `comm_matrix`); wrapped in another callable, it is called per entry.
     """
-    n = len(circuit.variables)
-    table = pick_hi = hi = pick_lo = lo = None
 
-    def fn(x: tuple) -> Fraction:
-        nonlocal table, pick_hi, hi, pick_lo, lo
-        if table is None:
-            scope = sorted(circuit.dependency_scope())
-            grid = {v: [bit for bit in (0, 1) if bit in circuit.variables[v].domain] for v in scope}
-            parts, stride = [], 1
-            for vars_ in (scope[len(scope) // 2 :], scope[: len(scope) // 2]):  # low half first: it varies fastest
-                keys = list(iter_product(*map(grid.get, vars_)))
-                if len(vars_) == 1:  # itemgetter of one index gives the bare bit
-                    keys = [bit for (bit,) in keys]
-                pick = itemgetter(*vars_) if vars_ else itemgetter(slice(0))  # no variables: x[:0] == ()
-                parts.append((pick, {key: k * stride for k, key in enumerate(keys)}))
-                stride *= len(keys)
-            (pick_lo, lo), (pick_hi, hi) = parts
-            table = circuit.tabulate({v: [(circuit.position(v, bit),) for bit in bits] for v, bits in grid.items()})
-        if len(x) == n:
-            try:
-                return table[hi[pick_hi(x)] + lo[pick_lo(x)]]
-            except (KeyError, TypeError):
-                pass
-        return circuit.evaluate(dict(enumerate(x)))
+    __slots__ = ()
 
-    return fn
+    def __call__(self, x) -> Rational:
+        return self.circuit.evaluate(x)
+
+
+circuit_evaluator = CircuitEvaluator
 
 
 def half_partition(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

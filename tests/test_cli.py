@@ -784,7 +784,15 @@ def test_malformed_input_corpus_fails_with_one_error_line(tmp_path, capsys):
         (["rank", "--partition", "A=" + huge, str(path)], "a 20,000-digit partition entry"),
         (["rank", "--partition", "A=" + big, str(path)], "a 10,000-digit partition variable"),
         (["depth3-report", "--partition", f"A={big},{big}", str(path)], "a repeated 10,000-digit partition variable"),
+        (["sample", "--seed", big, str(normalized)], "a 10,000-digit seed"),
+        (["sptree", "sample", "--m", "4", "--seed", huge], "a 20,000-digit seed"),
+        (["sptree", "sample", "--m", "4", "--seed", "1", "-n", big], "a 10,000-digit count"),
+        (["builtin", "equal", "--n", big], "a 10,000-digit n"),
+        (["sptree", "count", "--m", "-" + big], "a negative 10,000-digit m"),
     ]
+    long_key = tmp_path / "long_key.json"
+    long_key.write_text(json.dumps({"fixed": {big: 1}}))
+    cases.append((["marginalize", "--query", str(long_key), str(path)], "a 10,000-digit query key"))
     dimacs = tmp_path / "long.cnf"
     dimacs.write_text(f"p cnf 2 1\n1 -{huge} 0\n")
     cases.append((["cnf2spn", str(dimacs)], "a 20,000-digit DIMACS literal"))
@@ -878,6 +886,60 @@ def test_assignment_error_lines_are_pinned(tmp_path, capsys):
     ]:
         assert cli.main(["eval", "--assign", spec, str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_long_query_key_and_option_error_lines_are_pinned(tmp_path, capsys):
+    from spn import cli
+
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    path = tmp_path / "circuit.json"
+    path.write_text(serialize(_corpus_circuit()))
+    queries = {
+        "long": {"fixed": {"9" * 10_000: 1}},
+        "short": {"integrate_over": {"0": [0, 1]}, "fixed": {"2": 1}},
+        "overlap": {"integrate_over": {"0": [0, 1], "1": [1]}, "fixed": {"1": 1, "2": 0}},
+    }
+    for name, query in queries.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(query))
+    big, digits = "9" * 10_000, sys.get_int_max_str_digits()
+    scope = "query must partition the dependency-scope"
+    for args, line in [
+        (["marginalize", "--query", "long"], f"{scope}: variable {'9' * 40} is not in it"),
+        (["marginalize", "--query", "short"], f"{scope}: it misses variable 1"),
+        (["marginalize", "--query", "overlap"], "query keys overlap: variable 1 is both integrated and fixed"),
+        (["sample", "--seed", big], f"integer {'9' * 40} has more than {digits} digits"),
+        (["sptree", "count", "--m", "-" + big], f"integer -{'9' * 39} has more than {digits} digits"),
+    ]:
+        if args[0] == "marginalize":
+            args[2] = str(tmp_path / f"{args[2]}.json")
+        if args[0] != "sptree":
+            args.append(str(path))
+        assert cli.main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n"), args
+
+
+def test_rank_of_equal_at_the_block_cap_fits_its_budget(tmp_path):
+    # equal(24), the largest input the 12-variable block admits: one tabulation
+    # of 2^24 cells, a 4,096 x 4,096 matrix and its exact rank.  About 4.2 s at
+    # 273 MB peak RSS on a 2-vCPU VM; with one evaluator call per entry it took
+    # 29-55 s at 1.04 GB.
+    path = tmp_path / "equal24.json"
+    path.write_text(serialize(build_equal(24)))
+    code = (
+        "import resource, sys\n"
+        "from spn.cli import main\n"
+        "rc = main(['rank', sys.argv[1]])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=CHILD_ENV)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["rank"] == 4096
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert elapsed < 20 and peak_mb < 500, (elapsed, peak_mb)
 
 
 def _deep_circuit(kind):

@@ -209,17 +209,24 @@ def with_random_domains(c, rng):
 @settings(PROFILE, max_examples=150)
 @given(seeds)
 def test_comm_matrix_of_circuit_evaluator_matches_point_evaluation(seed):
-    # random blocks interleave variable ids and may be empty; a point with a
-    # bit outside a domain raises DomainError on both sides, at the same point
+    # the evaluator's matrix is read from one table; a plain function of the
+    # point is called per entry.  Both must give the point values with their
+    # types, or the same DomainError at the same point.  Random blocks
+    # interleave variable ids and are often empty; a variable may lie outside
+    # the scope (an unread extra variable, a constant root) and a domain may
+    # lack bit 0 or 1.
     rng = make_rng(seed)
     if rng.random() < 0.5:
         c = random_free_circuit(rng, max_vars=4, max_domain=3, max_size=15)
     else:
         c = random_dc_circuit(rng, n=int(rng.integers(2, 5)), domain_size=int(rng.integers(2, 4)), max_size=20)
     c = with_random_domains(with_fraction_values(c, rng), rng)
+    if rng.random() < 0.15:
+        value = Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 3)))
+        c = Circuit(c.variables, c.leaf_functions, [*c.nodes, ConstantNode(len(c.nodes), value)], len(c.nodes))
     n = len(c.variables)
     ids = [int(v) for v in rng.permutation(n)]
-    cut = int(rng.integers(0, n + 1))
+    cut = int(rng.choice([0, n])) if rng.random() < 0.2 else int(rng.integers(0, n + 1))
     block_a, block_b = sorted(ids[:cut]), sorted(ids[cut:])
     expected, error = [], None
     try:
@@ -231,15 +238,53 @@ def test_comm_matrix_of_circuit_evaluator_matches_point_evaluation(seed):
                 expected[-1].append(c.evaluate(point))
     except DomainError as exc:
         error = str(exc)
-    if error is not None:
-        with pytest.raises(DomainError) as raised:
-            comm_matrix(circuit_evaluator(c), n, (ids[:cut], ids[cut:]))
-        assert str(raised.value) == error
+    for fn in (circuit_evaluator(c), lambda x: c.evaluate(x)):
+        if error is not None:
+            with pytest.raises(DomainError) as raised:
+                comm_matrix(fn, n, (ids[:cut], ids[cut:]))
+            assert str(raised.value) == error
+            continue
+        m = comm_matrix(fn, n, (ids[:cut], ids[cut:]))
+        assert (m.block_a, m.block_b) == (tuple(block_a), tuple(block_b))
+        assert [list(row) for row in m.entries] == expected
+        assert [list(map(type, row)) for row in m.entries] == [list(map(type, row)) for row in expected]
+
+
+@settings(PROFILE, max_examples=20)
+@given(seeds)
+def test_tabulate_past_one_block_matches_point_passes(seed):
+    # grids of 1,025 to 3,000 cells broadcast in blocks of at most 1,024
+    # (`circuit._broadcast_plan`).  Free circuits over up to five variables
+    # combine tables over interleaved variable sets, a grid variable's
+    # selections repeat, and one time in three a variable at a random place
+    # in the id order ranges over more selections than one block holds.
+    rng = make_rng(seed)
+    c = with_fraction_values(random_free_circuit(rng, max_vars=5, max_domain=4, max_size=18), rng)
+    order = [int(v) for v in rng.permutation(len(c.variables))]
+    long_axis = order[0] if rng.random() < 1 / 3 else None
+    grid, cells = {}, 1
+    for v in order:
+        k, room = len(c.variables[v].domain), 3000 // cells
+        if room >= 2:
+            count = int(rng.integers(1025, 1200)) if v == long_axis else int(rng.integers(2, min(room, 40) + 1))
+            grid[v] = [
+                tuple(int(p) for p in rng.choice(k, size=int(rng.integers(1, min(k, 3) + 1)), replace=False))
+                for _ in range(count)
+            ]
+            cells *= count
+    if cells <= 1024:
         return
-    m = comm_matrix(circuit_evaluator(c), n, (ids[:cut], ids[cut:]))
-    assert (m.block_a, m.block_b) == (tuple(block_a), tuple(block_b))
-    assert [list(row) for row in m.entries] == expected
-    assert [list(map(type, row)) for row in m.entries] == [list(map(type, row)) for row in expected]
+    variables = sorted(grid)
+    selections = list(iter_product(*(grid[v] for v in variables)))
+    for node in (c.root, int(rng.integers(len(c.nodes)))):
+        table = c.tabulate(grid, node)
+        assert len(table) == len(selections)
+        for cell, chosen in zip(table, selections):
+            selection = [(0,)] * len(c.variables)
+            for v, positions in zip(variables, chosen):
+                selection[v] = positions
+            expected = c.evaluate_selection(selection)[node]
+            assert cell == expected and type(cell) is type(expected)
 
 
 def perturbation_entry(rng):

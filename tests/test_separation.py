@@ -306,9 +306,39 @@ def test_circuit_evaluator_outside_the_domain():
         comm_matrix(circuit_evaluator(c), 2, half_partition(2))
 
 
+def test_comm_matrix_reads_a_circuit_evaluator_without_per_entry_calls(monkeypatch):
+    # equal(8) over an interleaved partition, with a variable the circuit
+    # does not read; wrapped in a lambda, the evaluator is called per entry
+    b = CircuitBuilder()
+    xs = [b.variable([0, 1]) for _ in range(5)]
+    leaf = b.leaf(b.leaf_function(xs[3], {0: 2, 1: Fraction(1, 3)}))
+    c = b.build(b.product([leaf, b.leaf(b.leaf_function(xs[0], {0: 1, 1: 5}))]))
+    partition = ((1, 3), (0, 2, 4))
+    by_entry = comm_matrix(lambda x: c.evaluate(x), 5, partition)
+    calls = []
+    monkeypatch.setattr(type(c), "evaluate", lambda self, x: calls.append(x) or 0)
+    for circuit, n, part, fn in [
+        (c, 5, partition, None),
+        (build_equal(8), 8, ((0, 2, 5, 7), (1, 3, 4, 6)), equal_function(8)),
+        (build_equal(8), 8, half_partition(8), equal_function(8)),
+    ]:
+        m = comm_matrix(circuit_evaluator(circuit), n, part)
+        assert calls == []
+        if fn is None:
+            assert m == by_entry and [list(map(type, row)) for row in m.entries] == [
+                list(map(type, row)) for row in by_entry.entries
+            ]
+        else:
+            assert m.entries == comm_matrix(fn, n, part).entries
+    wrapped = circuit_evaluator(c)
+    comm_matrix(lambda x: wrapped(x), 5, partition)
+    assert len(calls) == 32
+
+
 def test_circuit_evaluator_holds_no_per_point_table():
-    # the table of 2^16 values plus two dicts of 2^8 keys; a dict keyed by
-    # whole points would hold 2^16 tuples of 16 bits, over 10 MiB
+    # a call is one point evaluation: the evaluator holds the circuit and
+    # its plan, while a dict keyed by whole points would hold 2^16 tuples of
+    # 16 bits, over 10 MiB
     fn = circuit_evaluator(build_equal(16))
     gc.collect()
     tracemalloc.start()
