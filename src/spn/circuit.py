@@ -49,11 +49,6 @@ def as_rational(value) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
-    return value if isinstance(value, Fraction) else Fraction(as_rational(value))
-
-
 @lru_cache(maxsize=1 << 12)
 def _parse_rational(text: str) -> Fraction:
     # Documents repeat a few rational strings many times, so each is parsed
@@ -275,9 +270,9 @@ class Circuit:
     # -- evaluation ------------------------------------------------------
 
     def _eval_plan(self):
-        # Compiled once per circuit: per node an instruction, per leaf
-        # function its table as a tuple indexed by domain position (None
-        # until a node reads it), and per variable a map value -> (position,).
+        # Compiled once per circuit: per node an instruction (a leaf's carries
+        # its function's table as a tuple indexed by domain position, one
+        # tuple per leaf function), and per variable a map value -> (position,).
         if self._plan is None:
             tables = [None] * len(self.leaf_functions)
             steps = []
@@ -294,7 +289,7 @@ class Circuit:
                 else:
                     steps.append(("prod", node.children, None))
             positions = [{x: (i,) for i, x in enumerate(v.domain)} for v in self.variables]
-            self._plan = (steps, positions, tables)
+            self._plan = (steps, positions)
         return self._plan
 
     def _normalize_assignment(self, assignment) -> Mapping:

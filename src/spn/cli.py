@@ -101,7 +101,7 @@ def _count(text: str) -> int:
 
 
 def _parse_assignment(spec: str) -> dict:
-    from .circuit import as_fraction
+    from .circuit import as_rational
 
     out = {}
     for item in spec.split(","):
@@ -109,7 +109,7 @@ def _parse_assignment(spec: str) -> dict:
             continue
         var, _, val = item.partition("=")
         try:
-            var, val = int(var), as_fraction(val)
+            var, val = int(var), as_rational(val)
         except (ValueError, ZeroDivisionError):
             raise SpnError(f"bad assignment {item!r:.40}; use var=value, e.g. 0=1,1=1/2") from None
         if var in out:

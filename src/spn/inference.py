@@ -27,7 +27,6 @@ from .circuit import (
     _array,
     _checked,
     _field,
-    as_fraction,
 )
 from .errors import (
     NotDecomposableCompleteError,
@@ -108,35 +107,42 @@ def _require_dc(circuit: Circuit, force: bool):
         )
 
 
-def marginalize(circuit: Circuit, query: MarginalQuery, force: bool = False) -> Fraction:
+def marginalize(circuit: Circuit, query: MarginalQuery, force: bool = False) -> Rational:
     """Exact integral of the output over the query's integration sets.
 
-    Single bottom-up pass: a leaf over an integrated variable contributes
-    the sum of its table over that variable's set; a leaf over a fixed
-    variable contributes its table value.
+    The root's value from one `Circuit.evaluate_selection` pass, where a leaf
+    over an integrated variable contributes the sum of its table over that
+    variable's set and a leaf over a fixed variable its table value.
     """
     _require_dc(circuit, force)
-    selection = query.selection(circuit)
-    return as_fraction(circuit.evaluate_selection(selection)[circuit.root])
+    return circuit.evaluate_selection(query.selection(circuit))[circuit.root]
 
 
-def partition_function(circuit: Circuit, force: bool = False) -> Fraction:
-    """Integral over the whole joint domain: one pass integrating every variable over its domain."""
-    _require_dc(circuit, force)
-    everything = [tuple(range(len(v.domain))) for v in circuit.variables]
-    z = as_fraction(circuit.evaluate_selection(everything)[circuit.root])
-    if z == 0:
+def _partitions(circuit: Circuit) -> list:
+    """Each node's Z from one pass integrating every variable over its domain; ZeroPartitionError if Z(root) = 0."""
+    z = circuit.evaluate_selection([tuple(range(len(v.domain))) for v in circuit.variables])
+    if z[circuit.root] == 0:
         raise ZeroPartitionError("partition function is zero")
     return z
+
+
+def partition_function(circuit: Circuit, force: bool = False) -> Rational:
+    """Integral over the whole joint domain, as `Circuit.evaluate_selection` gives the root's value."""
+    _require_dc(circuit, force)
+    return _partitions(circuit)[circuit.root]
 
 
 def apply_integration(circuit: Circuit, integrate_over: Mapping) -> Circuit:
     """Replace each leaf table of an integrated variable by its constant partial sum.
 
     The result has identical structure; composing marginal queries through
-    it equals one joint query.  Integration sets are checked as in marginal queries.
+    it equals one joint query.  Integration sets are checked as in marginal
+    queries, and SerializationError names a non-int key or a malformed set.
     """
-    sets = {int(v): tuple(as_fraction(x) for x in s) for v, s in integrate_over.items()}
+    sets = {
+        _checked(v, int, "integrate_over"): tuple(_array(integrate_over, v, Fraction, "integrate_over"))
+        for v in integrate_over
+    }
     for v, s in sets.items():
         _set_positions(circuit, v, s)
     new_fns = []
@@ -171,9 +177,7 @@ def normalize_weights(circuit: Circuit) -> Circuit:
         raise NotDecomposableCompleteError("cannot normalize an extended circuit")
     if not is_dc(circuit):
         raise NotDecomposableCompleteError("weight normalization requires a D&C circuit")
-    z = circuit.evaluate_selection([tuple(range(len(v.domain))) for v in circuit.variables])
-    if z[circuit.root] == 0:
-        raise ZeroPartitionError("partition function is zero")
+    z = _partitions(circuit)
 
     def rule(node, new, emit):
         # excising the Z = 0 nodes leaves every other node's Z unchanged
@@ -238,13 +242,13 @@ class DistributionHandle:
 
     __slots__ = ("circuit", "partition", "_plan")
 
-    def __init__(self, circuit: Circuit, partition: Fraction | None = None):
+    def __init__(self, circuit: Circuit, partition: Rational | None = None):
         self.circuit = circuit
         self.partition = partition_function(circuit) if partition is None else partition
         self._plan = None
 
     def density(self, assignment) -> Fraction:
-        return as_fraction(self.circuit.evaluate(assignment)) / self.partition
+        return Fraction(self.circuit.evaluate(assignment), self.partition)
 
     def sampling_plan(self) -> tuple[list[tuple], frozenset[int], int, int]:
         """Per node (draws, variable, thresholds, choices), the

@@ -9,9 +9,7 @@ empty term map.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .circuit import Circuit, ConstantNode, LeafNode, SumNode, as_fraction
+from .circuit import Circuit, ConstantNode, LeafNode, SumNode, as_rational
 from .errors import SpnError, TermExplosionError
 
 # monomial: tuple[(leaf_fn_id, exponent), ...] sorted by leaf_fn_id
@@ -34,7 +32,7 @@ class SparsePolynomial:
     """Sum of monomial terms over leaf functions, with like terms collected."""
 
     def __init__(self, terms: dict, variable_groups: dict[int, int]):
-        self.terms = {m: as_fraction(c) for m, c in terms.items() if c != 0}
+        self.terms = {m: as_rational(c) for m, c in terms.items() if c != 0}
         self.variable_groups = dict(variable_groups)
 
     def scope(self) -> frozenset[int]:
@@ -64,7 +62,7 @@ class SparsePolynomial:
 
     def evaluate(self, values: dict[int, object]):
         """Evaluate at a map leaf-function id -> rational value."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             acc = c
             for fid, e in m:
@@ -89,8 +87,8 @@ class SparsePolynomial:
 def expand(circuit: Circuit, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynomial:
     """Exact output polynomial of the root in the leaf functions.
 
-    Coefficients stay ints while they are integral, as in the eval plan,
-    and become Fractions at the root.  Children of a product whose
+    Coefficients are held as the IR holds values (see `as_rational`): an
+    int when integral, a Fraction otherwise.  Children of a product whose
     dependency-scopes are disjoint share no leaf function, so their
     monomials multiply by sorting the concatenation; overlapping children
     add exponents (`monomial_mul`).  Only extended circuits can cancel, so

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import itemgetter
 
-from .circuit import Circuit, ConstantNode, ProductNode, Rational, _spread_index, as_rational, node_children
+from .circuit import Circuit, ConstantNode, ProductNode, Rational, _checked, _spread_index, as_rational, node_children
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
 from .linalg import exact_rank, integer_rank, scaled_row  # noqa: F401 (exact_rank is re-exported)
 from .records import Record
@@ -48,7 +48,7 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
     an entry plus the call); so is an evaluator whose circuit lacks a bit,
     which raises the error a point evaluation gives at the first such entry.
     """
-    block_a, block_b = (tuple(sorted(partition[0])), tuple(sorted(partition[1])))
+    block_a, block_b = (tuple(sorted(_checked(v, int, "partition variable") for v in b)) for b in partition[:2])
     for block in (block_a, block_b):
         for v, w in zip(block, block[1:]):
             if v == w:

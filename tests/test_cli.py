@@ -1026,6 +1026,23 @@ def _readme_caps():
     return rows
 
 
+def test_readme_quick_tour_comments_are_the_values():
+    # each `  # ` comment closing a line of the README's library quick tour
+    # is the repr of the value of that line's expression
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in code.splitlines():
+        statement, _, comment = line.partition("  # ")
+        if comment:
+            assert repr(eval(statement, namespace)) == comment, line
+            checked += 1
+        else:
+            exec(statement, namespace)
+    assert checked == 3
+
+
 def test_readme_caps_table_matches_the_code(tmp_path, monkeypatch, capsys):
     import importlib
 

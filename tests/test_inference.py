@@ -78,6 +78,21 @@ def test_query_validation():
         apply_integration(c, {1: [5]})
     with pytest.raises(UnknownVariableError, match="unknown variable 9"):
         apply_integration(c, {9: [0]})
+    # ids are ints, not bools, floats or strings; sets are lists or tuples of exact rationals
+    for bad, message in [
+        ({1.5: [0, 1]}, "integrate_over: expected an integer, got 1.5"),
+        ({True: [0, 1]}, "integrate_over: expected an integer, got True"),
+        ({"x": [0]}, "integrate_over: expected an integer, got 'x'"),
+        ({"y" * 99: [0]}, "integrate_over: expected an integer, got '" + "y" * 39 + "$"),
+        ({1: "ab"}, "integrate_over.1: expected an array, got 'ab'"),
+        ({1: ["a"]}, r"integrate_over.1\[0\]: expected an exact rational, got 'a'"),
+    ]:
+        with pytest.raises(SerializationError, match=message):
+            apply_integration(c, bad)
+    # 'p/q' strings still name values
+    assert apply_integration(c, {1: ("0", "1")}).evaluate({0: 1, 1: 0}) == marginalize(
+        c, MarginalQuery.of({1: [0, 1]}, {0: 1})
+    )
     # a key past Python's 4,300-digit int/str limit fails like any other malformed key
     with pytest.raises(SerializationError, match="fixed: expected an integer, got '9999"):
         MarginalQuery.of({}, {"9" * 5000: 1})

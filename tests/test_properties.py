@@ -554,13 +554,35 @@ def circuits_by_every_route(rng):
 @given(seeds)
 def test_every_route_holds_integral_values_as_ints(seed):
     # ints exactly where a value is integral, Fractions elsewhere, never a
-    # float; points and grids evaluate as the same values read as Fractions
-    # with the integral ones unwrapped
-    routes = 0
+    # float, in the IR and in `expand`'s coefficients; points and grids
+    # evaluate as the same values read as Fractions with the integral ones
+    # unwrapped; on D&C circuits Z and a marginal are the root value of
+    # their selection's pass, in value and in type
+    routes, pick = 0, make_rng(seed + 1)
     for route, c in circuits_by_every_route(make_rng(seed)):
         routes += 1
         for x in ir_values(c):
             assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), (route, x)
+        for coeff in expand(c).terms.values():
+            assert type(coeff) is (int if coeff.denominator == 1 else Fraction), (route, coeff)
+        if is_dc(c):
+            everything = [tuple(range(len(v.domain))) for v in c.variables]
+            expected = c.evaluate_selection(everything)[c.root]
+            if expected != 0:
+                z = partition_function(c)
+                assert z == expected and type(z) is type(expected), route
+            integrate, fixed = {}, {}
+            for v in c.dependency_scope():
+                domain = c.variables[v].domain
+                if pick.random() < 0.5:
+                    fixed[v] = domain[int(pick.integers(len(domain)))]
+                else:
+                    size = int(pick.integers(1, len(domain) + 1))
+                    integrate[v] = [domain[i] for i in sorted(pick.choice(len(domain), size=size, replace=False))]
+            query = MarginalQuery.of(integrate, fixed)
+            expected = c.evaluate_selection(query.selection(c))[c.root]
+            value = marginalize(c, query)
+            assert value == expected and type(value) is type(expected), (route, query)
         points = list(iter_product(*(v.domain for v in c.variables)))
         grid = {v: [(p,) for p in range(len(spec.domain))] for v, spec in enumerate(c.variables)}
         for point, cell in zip(points, c.tabulate(grid)):

@@ -9,7 +9,7 @@ import pytest
 
 from spn import separation
 from spn.circuit import CircuitBuilder
-from spn.errors import DomainError, InstanceTooLargeError, SpnError, UnknownVariableError
+from spn.errors import DomainError, InstanceTooLargeError, SerializationError, SpnError, UnknownVariableError
 from spn.machines import build_equal, equal_function
 from spn.rng import make_rng
 from spn.separation import (
@@ -61,6 +61,9 @@ def test_partition_validation():
         comm_matrix(lambda x: 1, 4, ((0, 1), (1, 2, 3)))
     with pytest.raises(SpnError):
         comm_matrix(lambda x: 1, 4, ((0, 1), (2,)))
+    for partition, got in [(((True,), (0,)), "True"), (((0,), (1.0,)), "1.0"), ((("a",), (1,)), "'a'")]:
+        with pytest.raises(SerializationError, match=rf"^partition variable: expected an integer, got {got}$"):
+            comm_matrix(lambda x: 1, 2, partition)
 
 
 def test_partition_names_an_out_of_range_variable():
