@@ -19,7 +19,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -32,6 +32,7 @@ from .errors import (
     MonotonicityError,
     SerializationError,
     UnknownVariableError,
+    echo,
 )
 from .records import Record
 
@@ -45,7 +46,7 @@ def as_rational(value) -> Rational:
     if isinstance(value, str):
         value = _parse_rational(value)
     elif not isinstance(value, (int, Fraction)):
-        raise DomainError(f"not an exact rational: {value!r}")
+        raise DomainError(f"not an exact rational: {echo(value, repr)}")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -63,6 +64,11 @@ def _canonical(values) -> bool:
         if x.__class__ is not int and (x.__class__ is not Fraction or x.denominator == 1):
             return False
     return True
+
+
+def variables_of(mask: int) -> list[int]:
+    """The variable ids of a scope mask (see `Circuit.scopes`), ascending."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class VariableSpec(Record, namedtuple("VariableSpec", "id domain")):
@@ -212,27 +218,25 @@ class Circuit:
 
     # -- scopes ----------------------------------------------------------
 
-    def scopes(self) -> list[frozenset[int]]:
-        """Per node id: its dependency-scope, the variable ids its output depends on.
-
-        Equal scopes are one shared frozenset, so memory grows with the
-        number of distinct scopes rather than with the node count.
-        """
+    def scopes(self) -> list[int]:
+        """Per node id: its dependency-scope, the variable ids its output
+        depends on, as an int with bit v set for variable v (`variables_of`
+        lists them).  A leaf's is `1 << variable`, a constant's 0, and a
+        sum's or product's the OR of its children's."""
         if self._scopes is None:
-            interned: dict[frozenset[int], frozenset[int]] = {}
-            out = []
+            masks = []
             for node in self.nodes:
                 if isinstance(node, LeafNode):
-                    scope = frozenset([self.leaf_functions[node.leaf_function].variable])
+                    masks.append(1 << self.leaf_functions[node.leaf_function].variable)
                 else:
-                    scope = frozenset().union(*(out[c] for c in node_children(node)))
-                out.append(interned.setdefault(scope, scope))
-            self._scopes = out
-        return self._scopes
+                    masks.append(reduce(operator.or_, map(masks.__getitem__, node_children(node)), 0))
+            self._scopes = (masks, frozenset(variables_of(masks[self.root])))
+        return self._scopes[0]
 
     def dependency_scope(self) -> frozenset[int]:
-        """Variable ids the root's output depends on (see `scopes` for other nodes)."""
-        return self.scopes()[self.root]
+        """Variable ids the root's output depends on, one frozenset per circuit (see `scopes` for other nodes)."""
+        self.scopes()
+        return self._scopes[1]
 
     def reachable(self, node: int | None = None) -> frozenset[int]:
         """Node ids in the subcircuit rooted at `node` (default: the root)."""
@@ -302,11 +306,11 @@ class Circuit:
     def position(self, var: int, value) -> int:
         """Index of `value` in the domain of variable `var` (UnknownVariableError / DomainError otherwise)."""
         if not 0 <= var < len(self.variables):
-            raise UnknownVariableError(f"unknown variable {var!s:.40}")
+            raise UnknownVariableError(f"unknown variable {echo(var)}")
         try:
             return self._eval_plan()[1][var][value][0]
         except (KeyError, TypeError):
-            raise DomainError(f"value {value!s:.40} not in domain of variable {var}") from None
+            raise DomainError(f"value {echo(value)} not in domain of variable {var}") from None
 
     def select(self, assignment) -> list[tuple[int, ...]]:
         """Map a point to a selection: per variable, the 1-tuple of its domain position.
@@ -320,7 +324,7 @@ class Circuit:
         n = len(self.variables)
         for var in assignment:
             if not (0 <= var < n):
-                raise UnknownVariableError(f"unknown variable {var!s:.40}")
+                raise UnknownVariableError(f"unknown variable {echo(var)}")
         positions = self._eval_plan()[1]
         selection = [(0,)] * n
         for var in self.dependency_scope():
@@ -329,7 +333,7 @@ class Circuit:
             try:
                 selection[var] = positions[var][assignment[var]]
             except (KeyError, TypeError):
-                raise DomainError(f"value {assignment[var]!s:.40} not in domain of variable {var}") from None
+                raise DomainError(f"value {echo(assignment[var])} not in domain of variable {var}") from None
         return selection
 
     def evaluate(self, assignment) -> Rational:
@@ -639,8 +643,9 @@ def _checked(value, kind: type, where: str, *where_args):
     that is not a record).
 
     Raises SerializationError naming the document path `where` otherwise,
-    `where % where_args` when arguments are given, so a path is formatted
-    only for a value that fails.
+    `where % (parent, *keys)` when arguments are given, so a path is
+    formatted only for a value that fails; each key is shown as `echo`
+    shows it.
     """
     if kind is Fraction:
         if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
@@ -654,21 +659,21 @@ def _checked(value, kind: type, where: str, *where_args):
     elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
     if where_args:
-        where = where % where_args
-    raise SerializationError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
+        where = where % (where_args[0], *map(echo, where_args[1:]))
+    raise SerializationError(f"{where}: expected {_JSON_KINDS[kind]}, got {echo(value, repr)}")
 
 
 def _field(obj: dict, key: str, kind: type, where: str):
-    where = f"{where}.{key}" if where else key
+    path = "%s.%s" if where else "%s%s"
     if key not in obj:
-        raise SerializationError(f"{where}: missing")
-    return _checked(obj[key], kind, where)
+        raise SerializationError(f"{path % (where, echo(key))}: missing")
+    return _checked(obj[key], kind, path, where, key)
 
 
 def _array(obj: dict, key: str, kind: type, where: str) -> list:
     items = _field(obj, key, list, where)
-    where = f"{where}.{key}" if where else key
-    return [_checked(x, kind, "%s[%d]", where, i) for i, x in enumerate(items)]
+    path = "%s.%s[%s]" if where else "%s%s[%s]"
+    return [_checked(x, kind, path, where, key, i) for i, x in enumerate(items)]
 
 
 def from_json_dict(doc: dict) -> Circuit:
@@ -709,7 +714,7 @@ def from_json_dict(doc: dict) -> Circuit:
         elif kind == "product":
             nodes.append(ProductNode(nid, tuple(_array(nd, "children", int, where))))
         else:
-            raise SerializationError(f"{where}.kind: unknown node kind {kind!r}")
+            raise SerializationError(f"{where}.kind: unknown node kind {echo(kind, repr)}")
     return Circuit(variables, leaf_functions, nodes, _field(doc, "root", int, ""), extended)
 
 

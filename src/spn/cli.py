@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import InstanceTooLargeError, SpnError, TermExplosionError
+from .errors import InstanceTooLargeError, SpnError, TermExplosionError, echo
 
 # most digits of an int a command parses or prints: the largest count `spn sptree count`
 # prints, K_m's m^(m-2) trees at m = sptree.MAX_VERTICES, has 14,790
@@ -78,7 +78,7 @@ def _parse_partition(spec: str, n: int):
         block_a = tuple(_parse_labels(spec[2:], "partition"))
         block_b = tuple(v for v in range(n) if v not in set(block_a))
         return block_a, block_b
-    raise SpnError(f"bad partition spec {spec!r}; use 'first-half' or 'A=0,1,2'")
+    raise SpnError(f"bad partition spec {echo(spec, repr)}; use 'first-half' or 'A=0,1,2'")
 
 
 def _int(text: str) -> int:
@@ -89,14 +89,14 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+\s*", text):
-            raise SpnError(f"integer {text!s:.40} has more than {sys.get_int_max_str_digits()} digits") from None
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r:.40}") from None
+            raise SpnError(f"integer {echo(text)} has more than {sys.get_int_max_str_digits()} digits") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {echo(text, repr)}") from None
 
 
 def _count(text: str) -> int:
     """argparse type of a number of draws: a non-negative integer."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r:.40}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {echo(text, repr)}")
     return _int(text)
 
 
@@ -111,9 +111,9 @@ def _parse_assignment(spec: str) -> dict:
         try:
             var, val = int(var), as_rational(val)
         except (ValueError, ZeroDivisionError):
-            raise SpnError(f"bad assignment {item!r:.40}; use var=value, e.g. 0=1,1=1/2") from None
+            raise SpnError(f"bad assignment {echo(item, repr)}; use var=value, e.g. 0=1,1=1/2") from None
         if var in out:
-            raise SpnError(f"assignment repeats variable {var}")
+            raise SpnError(f"assignment repeats variable {echo(var)}")
         out[var] = val
     return out
 
@@ -287,7 +287,7 @@ def cmd_sptree_count(args):
     absent = _parse_labels(args.absent, "--absent")
     both = sorted(set(values) & set(absent))
     if both:
-        raise SpnError(f"edge {both[0]} is given as both present and absent")
+        raise SpnError(f"edge {echo(both[0])} is given as both present and absent")
     values.update(dict.fromkeys(absent, 0))
     count = count_consistent_trees(args.m, PartialAssignment(values))
     total = args.m ** (args.m - 2)
@@ -353,7 +353,7 @@ def _parse_labels(spec: str | None, what: str) -> list[int]:
         try:
             labels.append(int(token))
         except ValueError:
-            raise SpnError(f"bad {what} entry {token!r:.40}; use integers, e.g. 0,3,5") from None
+            raise SpnError(f"bad {what} entry {echo(token, repr)}; use integers, e.g. 0,3,5") from None
     return labels
 
 

@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `echo` for their messages."""
+
+import math
+
+
+def echo(value, form=str) -> str:
+    """At most 40 characters of `form(value)` (str or repr), for an error line.
+
+    An int is cut to its leading 50 or so digits before it is converted, so
+    one past the interpreter's int/str digit limit still shows its first
+    digits and a long one is not converted whole.  Any other value whose
+    conversion meets that limit (a Fraction or list holding such an int)
+    shows as its type name.
+    """
+    if value.__class__ is int:
+        drop = int(abs(value).bit_length() * math.log10(2)) - 50  # at most its digit count - 50
+        if drop > 0:
+            value = -(-value // 10**drop) if value < 0 else value // 10**drop
+    try:
+        return form(value)[:40]
+    except ValueError:
+        return f"<{type(value).__name__}>"
 
 
 class SpnError(Exception):

@@ -29,10 +29,12 @@ from .circuit import (
     _field,
 )
 from .errors import (
+    DomainError,
     NotDecomposableCompleteError,
     NotNormalizedError,
     SpnError,
     ZeroPartitionError,
+    echo,
 )
 from .records import Record
 from .structure import is_dc, rewrite
@@ -74,10 +76,10 @@ class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed"))
         dep = circuit.dependency_scope()
         for v in self.fixed:
             if v in self.integrate_over:
-                raise SpnError(f"query keys overlap: variable {v!s:.40} is both integrated and fixed")
+                raise SpnError(f"query keys overlap: variable {echo(v)} is both integrated and fixed")
         for v in (*self.integrate_over, *self.fixed):
             if v not in dep:
-                raise SpnError(f"query must partition the dependency-scope: variable {v!s:.40} is not in it")
+                raise SpnError(f"query must partition the dependency-scope: variable {echo(v)} is not in it")
         missing = dep.difference(self.integrate_over, self.fixed)
         if missing:
             raise SpnError(f"query must partition the dependency-scope: it misses variable {min(missing)}")
@@ -96,7 +98,7 @@ def _set_positions(circuit: Circuit, v: int, values) -> tuple[int, ...]:
     positions = tuple(circuit.position(v, x) for x in values)
     for i, x in enumerate(values):
         if positions[i] in positions[:i]:
-            raise SpnError(f"integration set for variable {v} repeats value {x}")
+            raise SpnError(f"integration set for variable {v} repeats value {echo(x)}")
     return positions
 
 
@@ -238,13 +240,22 @@ def _thresholds(masses) -> list[float]:
 
 
 class DistributionHandle:
-    """A D&C circuit with its cached partition function and sampling plan."""
+    """A D&C circuit with its cached partition function and sampling plan.
+
+    A given `partition` is kept as given: it must be an int or a Fraction
+    (DomainError otherwise) and not zero (ZeroPartitionError)."""
 
     __slots__ = ("circuit", "partition", "_plan")
 
     def __init__(self, circuit: Circuit, partition: Rational | None = None):
         self.circuit = circuit
-        self.partition = partition_function(circuit) if partition is None else partition
+        if partition is None:
+            partition = partition_function(circuit)
+        elif partition.__class__ not in (int, Fraction):
+            raise DomainError(f"partition must be an int or a Fraction, got {echo(partition, repr)}")
+        elif partition == 0:
+            raise ZeroPartitionError("partition function is zero")
+        self.partition = partition
         self._plan = None
 
     def density(self, assignment) -> Fraction:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .circuit import Circuit, CircuitBuilder, ConstantNode, Rational, _array, _checked, _field, as_rational
-from .errors import DomainError, InstanceTooLargeError, SerializationError, SpnError
+from .errors import DomainError, InstanceTooLargeError, SerializationError, SpnError, echo
 from .records import Record
 from .structure import excise
 
@@ -99,7 +99,7 @@ class Fplm(Record, namedtuple("Fplm", "n order dim a b matrices domains")):
 def _lookup(domains, i, value):
     value = as_rational(value)
     if value not in domains[i]:
-        raise DomainError(f"value {value} not in domain of variable {i}")
+        raise DomainError(f"value {echo(value)} not in domain of variable {i}")
     return value
 
 

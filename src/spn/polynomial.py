@@ -88,13 +88,13 @@ def expand(circuit: Circuit, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynom
     """Exact output polynomial of the root in the leaf functions.
 
     Coefficients are held as the IR holds values (see `as_rational`): an
-    int when integral, a Fraction otherwise.  Children of a product whose
-    dependency-scopes are disjoint share no leaf function, so their
-    monomials multiply by sorting the concatenation; overlapping children
-    add exponents (`monomial_mul`).  Only extended circuits can cancel, so
-    only their nodes drop zero coefficients.  Raises TermExplosionError
-    when the number of distinct monomials at any intermediate node exceeds
-    `max_terms`.
+    int when integral, a Fraction otherwise.  A product's child whose scope
+    mask (`Circuit.scopes`) shares no bit with the earlier children's shares
+    no leaf function with them, so monomials multiply by sorting the
+    concatenation; overlapping children add exponents (`monomial_mul`).
+    Only extended circuits can cancel, so only their nodes drop zero
+    coefficients.  Raises TermExplosionError when the number of distinct
+    monomials at any intermediate node exceeds `max_terms`.
     """
     groups = {f.id: f.variable for f in circuit.leaf_functions}
     needed = circuit.reachable()
@@ -116,8 +116,8 @@ def expand(circuit: Circuit, max_terms: int = DEFAULT_TERM_CAP) -> SparsePolynom
         else:
             acc, seen = polys[nd.children[0]], scopes[nd.children[0]]
             for c in nd.children[1:]:
-                child, nxt, disjoint = polys[c], {}, seen.isdisjoint(scopes[c])
-                seen = seen | scopes[c]
+                child, nxt, disjoint = polys[c], {}, not seen & scopes[c]
+                seen |= scopes[c]
                 for m1, c1 in acc.items():
                     if disjoint:
                         nxt.update((tuple(sorted(m1 + m2)), c1 * c2) for m2, c2 in child.items())

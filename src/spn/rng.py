@@ -20,12 +20,12 @@ from itertools import chain, repeat
 from numbers import Integral
 from operator import length_hint
 
-from .errors import SpnError
+from .errors import SpnError, echo
 
 
 def check_seed(seed) -> int:
     if not isinstance(seed, Integral) or seed < 0:
-        raise SpnError(f"seed must be a non-negative integer, got {seed!r}")
+        raise SpnError(f"seed must be a non-negative integer, got {echo(seed, repr)}")
     return int(seed)
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import itemgetter
 
-from .circuit import Circuit, ConstantNode, ProductNode, Rational, _checked, _spread_index, as_rational, node_children
-from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError
+from .circuit import Circuit, ConstantNode, ProductNode, Rational, _checked, _spread_index, as_rational, node_children, variables_of
+from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError, echo
 from .linalg import exact_rank, integer_rank, scaled_row  # noqa: F401 (exact_rank is re-exported)
 from .records import Record
 from .structure import excise, is_dc, rewrite
@@ -52,12 +52,12 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
     for block in (block_a, block_b):
         for v, w in zip(block, block[1:]):
             if v == w:
-                raise SpnError(f"partition block repeats variable {v!s:.40}")
+                raise SpnError(f"partition block repeats variable {echo(v)}")
     if set(block_a) & set(block_b):
         raise SpnError("partition blocks overlap")
     for v in block_a + block_b:
         if not 0 <= v < n:
-            raise SpnError(f"partition variable {v!s:.40} is not among the variables 0..{n - 1}")
+            raise SpnError(f"partition variable {echo(v)} is not among the variables 0..{n - 1}")
     if set(block_a) | set(block_b) != set(range(n)):
         raise SpnError("partition must cover all variables")
     if len(block_a) > max_block or len(block_b) > max_block:
@@ -202,14 +202,14 @@ def decompose(circuit: Circuit) -> Decomposition:
     """Split a D&C circuit into at most size^2 balanced product terms.
 
     Products are first rewritten to fan-in two.  Then, repeatedly, a node
-    whose dependency-scope size lies in [n/3, 2n/3] is located by walking
-    from the root through the largest-scope child (ties to the smallest
-    node id), its g table is the subcircuit's value over its scope, its h
-    table is the difference between the circuit evaluated with the node
-    pinned to one and pinned to zero (a function of the complementary
-    variables only), and the node is excised: the circuit with the node
-    pinned to zero is the next one walked.  The recorded terms satisfy
-    sum_i g_i(y_i) h_i(z_i) = circuit(x) for every assignment.
+    whose scope mask (`Circuit.scopes`) has between n/3 and 2n/3 bits is
+    found by walking from the root through the child with the most bits
+    (ties to the smallest node id), its g table is the subcircuit's value
+    over the mask's variables, its h table is the difference between the
+    circuit evaluated with the node pinned to one and pinned to zero (a
+    function of the other variables), and the node is excised: the circuit
+    with the node pinned to zero is the next one walked.  The recorded
+    terms satisfy sum_i g_i(y_i) h_i(z_i) = circuit(x) for every assignment.
     """
     if circuit.extended:
         raise SpnError("decompose requires a monotone circuit")
@@ -228,11 +228,11 @@ def decompose(circuit: Circuit) -> Decomposition:
         # walk: first node on the largest-child path with scope <= 2n/3
         scopes = work.scopes()
         node = work.root
-        while 3 * len(scopes[node]) > 2 * n:
+        while 3 * scopes[node].bit_count() > 2 * n:
             kids = node_children(work.nodes[node])
-            node = max(kids, key=lambda c: (len(scopes[c]), -c))
-        y_vars = tuple(sorted(scopes[node]))
-        z_vars = tuple(v for v in range(n) if v not in scopes[node])
+            node = max(kids, key=lambda c: (scopes[c].bit_count(), -c))
+        y_vars = tuple(variables_of(scopes[node]))
+        z_vars = tuple(variables_of(((1 << n) - 1) ^ scopes[node]))
         if 3 * len(y_vars) < n:
             raise SpnError("balanced-node walk failed; circuit is not D&C")
         if len(y_vars) > MAX_TABLE_VARS or len(z_vars) > MAX_TABLE_VARS:

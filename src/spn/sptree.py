@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from numbers import Integral
 
-from .errors import InstanceTooLargeError, SpnError
+from .errors import InstanceTooLargeError, SpnError, echo
 from .linalg import det_symmetric
 from .records import Record
 from .rng import block_integers, seeded_stream
@@ -36,7 +36,7 @@ class EdgeIndexing(Record, namedtuple("EdgeIndexing", "m")):
 
     def __new__(cls, m: int):
         if m < 0:  # the K_m entry points past counts and walks (those need m >= 2) pass here
-            raise SpnError(f"K_m needs a non-negative vertex count, got {m}")
+            raise SpnError(f"K_m needs a non-negative vertex count, got {echo(m)}")
         return super().__new__(cls, m)
 
     @property
@@ -50,14 +50,14 @@ class EdgeIndexing(Record, namedtuple("EdgeIndexing", "m")):
         if u > v:
             u, v = v, u
         if not (0 <= u < v < self.m):
-            raise SpnError(f"not an edge of K_{self.m}: ({u}, {v})")
+            raise SpnError(f"not an edge of K_{self.m}: ({echo(u)}, {echo(v)})")
         return _row_offset(self.m, u) + v
 
     def pair_of(self, label: int) -> tuple[int, int]:
         m = self.m
         n = m * (m - 1) // 2
         if not (0 <= label < n):
-            raise SpnError(f"edge label {label} out of range")
+            raise SpnError(f"edge label {echo(label)} out of range")
         # counted from the last edge, rows m-2, m-3, ... hold 1, 2, ... edges
         u = m - 2 - (math.isqrt(8 * (n - 1 - label) + 1) - 1) // 2
         return u, label - _row_offset(m, u)
@@ -150,11 +150,11 @@ def count_consistent_trees(m: int, partial: PartialAssignment) -> int:
     absent, present = [], []
     for label, value in partial.values.items():
         if not isinstance(label, (int, Integral)):  # int first: the abstract check is slow
-            raise SpnError(f"edge label {label!r} is not an integer")
+            raise SpnError(f"edge label {echo(label, repr)} is not an integer")
         if not 0 <= label < n:
-            raise SpnError(f"edge label {label!s:.40} out of range for K_{m}")
+            raise SpnError(f"edge label {echo(label)} out of range for K_{m}")
         if value not in (0, 1):
-            raise SpnError(f"edge {label} must be fixed to 0 or 1, got {value!r}")
+            raise SpnError(f"edge {label} must be fixed to 0 or 1, got {echo(value, repr)}")
         (present if value == 1 else absent).append(label)
     row = _row_offsets(m)
     first = [offset + u + 1 for u, offset in enumerate(row)]  # the label of edge (u, u + 1)
@@ -306,7 +306,7 @@ def count_triangles(m: int, edges: frozenset[int]) -> int:
     n = EdgeIndexing(m).n
     for label in edges:
         if not 0 <= label < n:
-            raise SpnError(f"edge label {label} out of range")
+            raise SpnError(f"edge label {echo(label)} out of range")
     return sum(1 for _, labels in iter_triangles(m) if all(l in edges for l in labels))
 
 
@@ -441,12 +441,12 @@ def _constraint_index(constraints, n=math.inf) -> dict[int, list]:
     for con in constraints:
         form, *labels = con
         if not isinstance(form, str) or form not in _ARITY:
-            raise SpnError(f"unknown constraint form {form!r}")
+            raise SpnError(f"unknown constraint form {echo(form, repr)}")
         if len(labels) != _ARITY[form]:
-            raise SpnError(f"constraint {tuple(con)!r} needs {_ARITY[form]} edge label(s)")
+            raise SpnError(f"constraint {echo(tuple(con), repr)} needs {_ARITY[form]} edge label(s)")
         for label in labels:
             if not (isinstance(label, (int, Integral)) and 0 <= label < n):  # int first: the abstract check is slow
-                raise SpnError(f"edge label {label!r} out of range")
+                raise SpnError(f"edge label {echo(label, repr)} out of range")
         index.setdefault(labels[0], []).append(labels[1] if form == "not_both" else None)
     return index
 

@@ -22,6 +22,7 @@ from .circuit import (
     LeafNode,
     ProductNode,
     SumNode,
+    variables_of,
 )
 from .errors import (
     DegenerateCircuitError,
@@ -31,6 +32,7 @@ from .errors import (
     SpnError,
     TrivialVariableError,
     ZeroCircuitError,
+    echo,
 )
 from .records import Record
 
@@ -60,13 +62,12 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     violations = []
     for node in circuit.nodes:
         if isinstance(node, ProductNode):
-            seen: set[int] = set()
+            seen = 0
             for c in node.children:
-                dep = scopes[c]
-                if seen & dep:
+                if seen & scopes[c]:
                     violations.append(node.id)
                     break
-                seen |= dep
+                seen |= scopes[c]
     return (not violations, tuple(violations))
 
 
@@ -76,10 +77,8 @@ def check_complete(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     scopes = circuit.scopes()
     violations = []
     for node in circuit.nodes:
-        if isinstance(node, SumNode):
-            deps = {scopes[c] for c in node.children}
-            if len(deps) > 1:
-                violations.append(node.id)
+        if isinstance(node, SumNode) and len({scopes[c] for c in node.children}) > 1:
+            violations.append(node.id)
     return (not violations, tuple(violations))
 
 
@@ -215,20 +214,19 @@ def complete_transform(circuit: Circuit) -> Circuit:
     scopes = circuit.scopes()
     fns = list(circuit.leaf_functions)
     one_node: dict[int, int] = {}
-    wrap_cache: dict[tuple[int, frozenset[int]], int] = {}
+    wrap_cache: dict[tuple[int, int], int] = {}
 
     def rule(node, new, emit):
         if not isinstance(node, SumNode):
             return node
         edges = []
         for c, w in zip(node.children, node.weights):
-            missing = scopes[node.id] - scopes[c]
+            missing = scopes[node.id] & ~scopes[c]
             if missing and (c, missing) not in wrap_cache:
-                for v in sorted(missing - one_node.keys()):
-                    table = dict.fromkeys(circuit.variables[v].domain, 1)
-                    fns.append(LeafFunction(len(fns), v, table, f"one_x{v}"))
+                for v in [v for v in variables_of(missing) if v not in one_node]:
+                    fns.append(LeafFunction(len(fns), v, dict.fromkeys(circuit.variables[v].domain, 1), f"one_x{v}"))
                     one_node[v] = emit(LeafNode, len(fns) - 1)
-                wrap_cache[c, missing] = emit(ProductNode, [new[c]] + [one_node[v] for v in sorted(missing)])
+                wrap_cache[c, missing] = emit(ProductNode, [new[c]] + [one_node[v] for v in variables_of(missing)])
             edges.append((wrap_cache[c, missing] if missing else new[c], w))
         return emit(SumNode, edges)
 
@@ -410,7 +408,7 @@ def parse_dimacs(text: str) -> tuple[list[list[int]], int]:
         try:
             return int(tok)
         except ValueError:
-            raise SerializationError(f"DIMACS line {lineno}: {tok!r:.40} is not an integer") from None
+            raise SerializationError(f"DIMACS line {lineno}: {echo(tok, repr)} is not an integer") from None
 
     clauses: list[list[int]] = []
     declared = 0
@@ -422,7 +420,7 @@ def parse_dimacs(text: str) -> tuple[list[list[int]], int]:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
-                raise SerializationError(f"DIMACS line {lineno}: bad header {line!r:.40}")
+                raise SerializationError(f"DIMACS line {lineno}: bad header {echo(line, repr)}")
             declared = integer(parts[2], lineno)
             integer(parts[3], lineno)  # the clause count is checked, not used
             continue

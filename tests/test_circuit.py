@@ -8,6 +8,7 @@ from spn.circuit import (
     CircuitBuilder,
     deserialize,
     serialize,
+    variables_of,
 )
 from spn.errors import (
     CircuitStructureError,
@@ -97,12 +98,16 @@ def test_scopes():
     p = b.product([s, l2, k])
     c = b.build(p)
     scopes = c.scopes()
-    assert scopes[k] == frozenset()
-    assert scopes[l1] == frozenset([x1])
-    assert scopes[p] == frozenset([x1, x2])
+    assert all(type(m) is int for m in scopes)
+    assert scopes[k] == 0
+    assert scopes[l1] == 1 << x1 and scopes[l2] == 1 << x2
+    assert scopes[s] == scopes[l1] == scopes[s - 1]
+    assert scopes[p] == (1 << x1) | (1 << x2)
+    assert variables_of(scopes[p]) == [x1, x2] and variables_of(0) == []
+    assert variables_of((1 << 70) | 5) == [0, 2, 70]
     assert c.dependency_scope() == frozenset([x1, x2])
-    # equal scopes are one shared object
-    assert scopes[s] is scopes[l1] is scopes[s - 1]
+    # the reported set is built once, not per call
+    assert c.dependency_scope() is c.dependency_scope()
 
 
 def test_metrics_basics():

@@ -19,6 +19,7 @@ from spn.errors import (
     SpnError,
     UnknownVariableError,
     ZeroPartitionError,
+    echo,
 )
 from spn.inference import (
     DistributionHandle,
@@ -40,6 +41,7 @@ from spn.machines import (
     parity_machine,
 )
 from spn.rng import Philox, make_rng
+from spn.separation import circuit_evaluator, comm_matrix
 
 from genutil import (
     exhaustive_marginal,
@@ -98,6 +100,30 @@ def test_query_validation():
         MarginalQuery.of({}, {"9" * 5000: 1})
 
 
+def test_variable_ids_past_the_digit_limit_raise_typed_errors():
+    # a Python caller's int past the interpreter's 4,300-digit int/str limit is
+    # echoed by its first 40 digits, as the CLI echoes it with the limit lifted
+    c, huge = build_equal(2), 10**5000
+    shown = "1" + "0" * 39
+    calls = [
+        (lambda: c.evaluate({huge: 0}), f"unknown variable {shown}"),
+        (lambda: c.evaluate({0: -huge, 1: 0}), f"value -{shown[:-1]} not in domain of variable 0"),
+        (lambda: apply_integration(c, {huge: [0]}), f"unknown variable {shown}"),
+        (lambda: apply_integration(c, {0: [[huge]]}), "integrate_over.0[0]: expected an exact rational, got <list>"),
+        (lambda: marginalize(c, MarginalQuery.of({huge: [0]}, {})), f"variable {shown} is not in it"),
+        (lambda: MarginalQuery.of({huge: "ab"}, {}), f"integrate_over.{shown}: expected an array"),
+        (lambda: comm_matrix(circuit_evaluator(c), 2, ((huge,), (0,))), f"partition variable {shown} is not among"),
+    ]
+    for call, message in calls:
+        with pytest.raises(SpnError) as exc:
+            call()
+        assert message in str(exc.value) and len(str(exc.value)) < 120
+    rng = make_rng(26)
+    for digits in [*range(1, 80), *map(int, rng.integers(80, 4300, 40))]:
+        x = int(rng.integers(1, 10)) * 10 ** (digits - 1) + int(rng.integers(0, 2**62))
+        assert echo(x) == str(x)[:40] and echo(-x, repr) == repr(-x)[:40]
+
+
 def test_marginalize_requires_dc_unless_forced():
     c = incomplete_valid_fixture()
     q = MarginalQuery.of({0: [0, 1]}, {1: 1})
@@ -150,6 +176,22 @@ def test_partition_function_zero_reported():
     c = b.build(b.leaf(f))
     with pytest.raises(ZeroPartitionError):
         partition_function(c)
+
+
+@pytest.mark.parametrize(
+    "partition, error, message",
+    [
+        (0, ZeroPartitionError, "partition function is zero"),
+        (Fraction(0), ZeroPartitionError, "partition function is zero"),
+        (1.5, DomainError, "partition must be an int or a Fraction, got 1.5"),
+        ("1/2", DomainError, "partition must be an int or a Fraction, got '1/2'"),
+        (True, DomainError, "partition must be an int or a Fraction, got True"),
+    ],
+)
+def test_distribution_handle_rejects_a_bad_partition(partition, error, message):
+    with pytest.raises(error) as exc:
+        DistributionHandle(build_equal(2), partition=partition)
+    assert str(exc.value) == message
 
 
 def test_full_integration_on_normalized_circuit_is_one():

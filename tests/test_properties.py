@@ -24,6 +24,7 @@ from spn.circuit import (
     VariableSpec,
     deserialize,
     serialize,
+    variables_of,
 )
 from spn.errors import DomainError, SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
@@ -58,6 +59,7 @@ from genutil import (
     brute_triangle_count,
     evaluate_via_expansion,
     exhaustive_marginal,
+    leaf_function_scope,
     random_dc_circuit,
     random_free_circuit,
     randomize_tables,
@@ -384,6 +386,26 @@ def test_decompose_reconstructs_exactly(seed):
         assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in (*t.g_table.values(), *t.h_table.values()))
     for assignment in c.iter_assignments(range(len(c.variables))):
         assert d.reconstruct(assignment) == c.evaluate(assignment)
+
+
+@PROFILE
+@given(seeds)
+def test_scope_masks_match_leaf_function_scopes(seed):
+    rng = make_rng(seed)
+    if rng.random() < 0.5:
+        c = random_free_circuit(rng, max_vars=6, max_size=20)
+    else:
+        c = random_dc_circuit(rng, n=int(rng.integers(2, 7)), max_size=25)
+    ref = [frozenset(c.leaf_functions[f].variable for f in leaf_function_scope(c, node.id)) for node in c.nodes]
+    assert [variables_of(mask) for mask in c.scopes()] == [sorted(scope) for scope in ref]
+    assert c.dependency_scope() == ref[c.root]
+    overlapping = tuple(
+        nd.id for nd in c.nodes
+        if isinstance(nd, ProductNode) and any(ref[a] & ref[b] for a, b in combinations(nd.children, 2))
+    )
+    mixed = tuple(nd.id for nd in c.nodes if isinstance(nd, SumNode) and len({ref[k] for k in nd.children}) > 1)
+    assert check_decomposable(c) == (not overlapping, overlapping)
+    assert check_complete(c) == (not mixed, mixed)
 
 
 @PROFILE

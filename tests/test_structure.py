@@ -1,5 +1,6 @@
 """Structural predicates, transforms, the validity oracle, and the CNF reduction."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -16,13 +17,14 @@ from spn.errors import (
     TrivialVariableError,
     ZeroCircuitError,
 )
-from spn.machines import build_equal
+from spn.machines import build_equal, compile_fpssm, parity_machine
 from spn.polynomial import expand, is_set_multilinear
 from spn.rng import make_rng
 from spn.structure import (
     _lattice_plan,
     ORACLE_MAX_DOMAIN,
     ORACLE_MAX_VARS,
+    StructureReport,
     analyze,
     brute_force_validity,
     check_complete,
@@ -199,6 +201,20 @@ def incomplete_decomposable_circuit():
     single = b.leaf(f1)
     pair = b.product([b.leaf(f1), b.leaf(f2)])
     return b.build(b.sum([(single, 2), (pair, 3)]))
+
+
+def test_analyze_of_a_long_chain_fits_its_memory_budget():
+    # compiled parity(2000) is a chain of 15,997 nodes whose prefix scopes grow
+    # to 2,000 variables: one int per node keeps the peak flat (88 MB as frozensets)
+    c = compile_fpssm(parity_machine(2000))
+    tracemalloc.start()
+    try:
+        report = analyze(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert report == StructureReport(True, (), True, (), True, (), True, True)
 
 
 def test_complete_transform_fixes_scope_mismatch():
