@@ -85,10 +85,6 @@ class VariableSpec(Record, namedtuple("VariableSpec", "id domain")):
             raise DomainError(f"variable {self.id}: duplicate domain values")
         return self
 
-    @property
-    def nontrivial(self) -> bool:
-        return len(self.domain) >= 2
-
 
 class LeafFunction(Record, namedtuple("LeafFunction", "id variable table name", defaults=(None,))):
     """A univariate function of one variable, given as a table over its domain
@@ -164,7 +160,7 @@ class Circuit:
         self.root = root
         self.extended = extended
         self._validate()
-        self._scopes = self._plan = None
+        self._scopes = self._plan = self._report = None  # caches: scopes, eval plan, `structure.analyze`
 
     # -- validation ------------------------------------------------------
 
@@ -235,7 +231,8 @@ class Circuit:
 
     def dependency_scope(self) -> frozenset[int]:
         """Variable ids the root's output depends on, one frozenset per circuit (see `scopes` for other nodes)."""
-        self.scopes()
+        if self._scopes is None:
+            self.scopes()
         return self._scopes[1]
 
     def reachable(self, node: int | None = None) -> frozenset[int]:

@@ -30,14 +30,13 @@ from .circuit import (
 )
 from .errors import (
     DomainError,
-    NotDecomposableCompleteError,
     NotNormalizedError,
     SpnError,
     ZeroPartitionError,
     echo,
 )
 from .records import Record
-from .structure import is_dc, rewrite
+from .structure import require_dc, rewrite
 
 
 class MarginalQuery(Record, namedtuple("MarginalQuery", "integrate_over fixed")):
@@ -102,21 +101,16 @@ def _set_positions(circuit: Circuit, v: int, values) -> tuple[int, ...]:
     return positions
 
 
-def _require_dc(circuit: Circuit, force: bool):
-    if not force and not is_dc(circuit):
-        raise NotDecomposableCompleteError(
-            "circuit is not decomposable and complete; pass force=True to evaluate anyway"
-        )
-
-
 def marginalize(circuit: Circuit, query: MarginalQuery, force: bool = False) -> Rational:
     """Exact integral of the output over the query's integration sets.
 
     The root's value from one `Circuit.evaluate_selection` pass, where a leaf
     over an integrated variable contributes the sum of its table over that
     variable's set and a leaf over a fixed variable its table value.
+    Gated by `structure.require_dc` unless `force`.
     """
-    _require_dc(circuit, force)
+    if not force:
+        require_dc(circuit, "marginalize")
     return circuit.evaluate_selection(query.selection(circuit))[circuit.root]
 
 
@@ -129,8 +123,10 @@ def _partitions(circuit: Circuit) -> list:
 
 
 def partition_function(circuit: Circuit, force: bool = False) -> Rational:
-    """Integral over the whole joint domain, as `Circuit.evaluate_selection` gives the root's value."""
-    _require_dc(circuit, force)
+    """Integral over the whole joint domain, as `Circuit.evaluate_selection` gives the root's value.
+    Gated by `structure.require_dc` unless `force`."""
+    if not force:
+        require_dc(circuit, "partition_function")
     return _partitions(circuit)[circuit.root]
 
 
@@ -172,13 +168,9 @@ def normalize_weights(circuit: Circuit) -> Circuit:
     becomes w * Z(child) / Z(sum), each leaf table is divided by its sum
     and each constant becomes one, so every node computes its old value
     over its Z (local normalization, Peharz et al., AISTATS 2015).
-    Requires a decomposable and complete monotone circuit;
-    ZeroPartitionError means Z(root) = 0.
+    Gated by `structure.require_dc`; ZeroPartitionError means Z(root) = 0.
     """
-    if circuit.extended:
-        raise NotDecomposableCompleteError("cannot normalize an extended circuit")
-    if not is_dc(circuit):
-        raise NotDecomposableCompleteError("weight normalization requires a D&C circuit")
+    require_dc(circuit, "normalize_weights")
     z = _partitions(circuit)
 
     def rule(node, new, emit):
@@ -242,15 +234,17 @@ def _thresholds(masses) -> list[float]:
 class DistributionHandle:
     """A D&C circuit with its cached partition function and sampling plan.
 
-    A given `partition` is kept as given: it must be an int or a Fraction
-    (DomainError otherwise) and not zero (ZeroPartitionError)."""
+    Without a `partition` the circuit must pass `structure.require_dc` for
+    sampling; a given one skips that gate and is kept as given: an int or a
+    Fraction (DomainError otherwise), not zero (ZeroPartitionError)."""
 
     __slots__ = ("circuit", "partition", "_plan")
 
     def __init__(self, circuit: Circuit, partition: Rational | None = None):
         self.circuit = circuit
         if partition is None:
-            partition = partition_function(circuit)
+            require_dc(circuit, "sampling")
+            partition = _partitions(circuit)[circuit.root]
         elif partition.__class__ not in (int, Fraction):
             raise DomainError(f"partition must be an int or a Fraction, got {echo(partition, repr)}")
         elif partition == 0:

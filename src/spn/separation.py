@@ -19,7 +19,7 @@ from .circuit import Circuit, ConstantNode, ProductNode, Rational, _checked, _sp
 from .errors import InstanceTooLargeError, SpnError, ZeroCircuitError, echo
 from .linalg import exact_rank, integer_rank, scaled_row  # noqa: F401 (exact_rank is re-exported)
 from .records import Record
-from .structure import excise, is_dc, rewrite
+from .structure import excise, require_dc, rewrite
 
 
 class CommMatrix(Record, namedtuple("CommMatrix", "block_a block_b entries")):
@@ -33,7 +33,10 @@ class CommMatrix(Record, namedtuple("CommMatrix", "block_a block_b entries")):
     __slots__ = ()
 
 
-def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix:
+MAX_BLOCK_VARS = 12  # the most variables a comm_matrix partition block holds
+
+
+def comm_matrix(fn, n: int, partition: tuple) -> CommMatrix:
     """Tabulate fn over all binary assignments, split by the partition.
 
     `fn` takes a tuple of n zeros/ones indexed by variable id.  An evaluator
@@ -60,8 +63,8 @@ def comm_matrix(fn, n: int, partition: tuple, max_block: int = 12) -> CommMatrix
             raise SpnError(f"partition variable {echo(v)} is not among the variables 0..{n - 1}")
     if set(block_a) | set(block_b) != set(range(n)):
         raise SpnError("partition must cover all variables")
-    if len(block_a) > max_block or len(block_b) > max_block:
-        raise InstanceTooLargeError(f"blocks limited to {max_block} variables")
+    if len(block_a) > MAX_BLOCK_VARS or len(block_b) > MAX_BLOCK_VARS:
+        raise InstanceTooLargeError(f"blocks limited to {MAX_BLOCK_VARS} variables")
     if isinstance(fn, CircuitEvaluator):
         entries = _table_entries(fn.circuit, n, block_a, block_b)
         if entries is not None:
@@ -210,11 +213,9 @@ def decompose(circuit: Circuit) -> Decomposition:
     function of the other variables), and the node is excised: the circuit
     with the node pinned to zero is the next one walked.  The recorded
     terms satisfy sum_i g_i(y_i) h_i(z_i) = circuit(x) for every assignment.
+    Gated by `structure.require_dc`.
     """
-    if circuit.extended:
-        raise SpnError("decompose requires a monotone circuit")
-    if not is_dc(circuit):
-        raise SpnError("decompose requires a decomposable and complete circuit")
+    require_dc(circuit, "decompose")
     n = len(circuit.variables)
     if n < 3:
         raise SpnError("decompose needs at least three variables")

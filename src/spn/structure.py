@@ -28,6 +28,7 @@ from .errors import (
     DegenerateCircuitError,
     ExtendedCircuitError,
     InstanceTooLargeError,
+    NotDecomposableCompleteError,
     SerializationError,
     SpnError,
     TrivialVariableError,
@@ -37,80 +38,86 @@ from .errors import (
 from .records import Record
 
 
-_StructureFields = namedtuple(
-    "StructureReport",
+class StructureReport(Record, namedtuple("StructureReport", (
     "decomposable decomposability_violations complete completeness_violations"
-    " non_degenerate degeneracy_offenders all_variables_nontrivial strongly_valid",
-)
-
-
-class StructureReport(Record, _StructureFields):
-    """Verdicts of `analyze`, each violation list a tuple of node ids."""
+    " non_degenerate degeneracy_offenders all_variables_nontrivial strongly_valid"
+))):
+    """Every structural verdict of a circuit, each violation list a tuple of node ids (see `analyze`)."""
 
     __slots__ = ()
 
 
-def _require_monotone(circuit: Circuit):
+def _require_monotone(circuit: Circuit, operation: str):
     if circuit.extended:
-        raise ExtendedCircuitError("operation requires a monotone (non-extended) circuit")
+        raise ExtendedCircuitError(f"{operation} requires a monotone (non-extended) circuit")
 
 
-def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
-    """Every product node's children must have pairwise disjoint dependency-scopes."""
-    _require_monotone(circuit)
-    scopes = circuit.scopes()
-    violations = []
-    for node in circuit.nodes:
-        if isinstance(node, ProductNode):
-            seen = 0
-            for c in node.children:
-                if seen & scopes[c]:
-                    violations.append(node.id)
-                    break
-                seen |= scopes[c]
-    return (not violations, tuple(violations))
-
-
-def check_complete(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
-    """Every sum node's children must share one dependency-scope."""
-    _require_monotone(circuit)
-    scopes = circuit.scopes()
-    violations = []
-    for node in circuit.nodes:
-        if isinstance(node, SumNode) and len({scopes[c] for c in node.children}) > 1:
-            violations.append(node.id)
-    return (not violations, tuple(violations))
-
-
-def is_dc(circuit: Circuit) -> bool:
-    return check_decomposable(circuit)[0] and check_complete(circuit)[0]
-
-
-def degeneracy_offenders(circuit: Circuit) -> tuple[int, ...]:
-    """Node ids carrying a zero weight or computing a zero constant."""
-    out = []
-    for node in circuit.nodes:
-        if isinstance(node, SumNode) and any(w == 0 for w in node.weights):
-            out.append(node.id)
-        elif isinstance(node, ConstantNode) and node.value == 0:
-            out.append(node.id)
-    return tuple(out)
+def _report(circuit: Circuit, operation: str | None = None) -> StructureReport:
+    """The circuit's stored report (see `analyze`), built on first use; with an `operation`, monotone circuits only."""
+    if operation:
+        _require_monotone(circuit, operation)
+    if circuit._report is None:
+        scopes, overlapping, mixed, offenders = circuit.scopes(), [], [], []
+        for node in circuit.nodes:
+            if isinstance(node, ProductNode):
+                seen = 0
+                for c in node.children:
+                    if seen & scopes[c]:
+                        overlapping.append(node.id)
+                        break
+                    seen |= scopes[c]
+            elif isinstance(node, SumNode):
+                if len({scopes[c] for c in node.children}) > 1:
+                    mixed.append(node.id)
+                if 0 in node.weights:
+                    offenders.append(node.id)
+            elif isinstance(node, ConstantNode) and node.value == 0:
+                offenders.append(node.id)
+        circuit._report = StructureReport(
+            not overlapping, tuple(overlapping), not mixed, tuple(mixed), not offenders, tuple(offenders),
+            all(len(v.domain) > 1 for v in circuit.variables), not overlapping and not mixed,
+        )
+    return circuit._report
 
 
 def analyze(circuit: Circuit) -> StructureReport:
-    dec, dec_v = check_decomposable(circuit)
-    com, com_v = check_complete(circuit)
-    offenders = degeneracy_offenders(circuit)
-    return StructureReport(
-        decomposable=dec,
-        decomposability_violations=dec_v,
-        complete=com,
-        completeness_violations=com_v,
-        non_degenerate=not offenders,
-        degeneracy_offenders=offenders,
-        all_variables_nontrivial=all(v.nontrivial for v in circuit.variables),
-        strongly_valid=dec and com,
-    )
+    """Decomposability, completeness, degeneracy and trivial variables of a
+    monotone circuit, from one pass over its nodes that reads their scope
+    masks (`Circuit.scopes`).  The pass runs on a circuit's first verdict and
+    its report is stored on the circuit, which is immutable: `check_*`,
+    `is_dc`, `degeneracy_offenders` and `require_dc` read the same report."""
+    return _report(circuit, "analyze")
+
+
+def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
+    """Every product node's children must have pairwise disjoint dependency-scopes (see `analyze`)."""
+    report = _report(circuit, "check_decomposable")
+    return report.decomposable, report.decomposability_violations
+
+
+def check_complete(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
+    """Every sum node's children must share one dependency-scope (see `analyze`)."""
+    report = _report(circuit, "check_complete")
+    return report.complete, report.completeness_violations
+
+
+def is_dc(circuit: Circuit) -> bool:
+    """Decomposable and complete: `analyze(circuit).strongly_valid`."""
+    return _report(circuit, "is_dc").strongly_valid
+
+
+def degeneracy_offenders(circuit: Circuit) -> tuple[int, ...]:
+    """Node ids carrying a zero weight or computing a zero constant; extended circuits too."""
+    return _report(circuit).degeneracy_offenders
+
+
+def require_dc(circuit: Circuit, operation: str):
+    """The gate of the operations that need D&C (marginals, partition function,
+    normalization, sampling, `decompose`): NotDecomposableCompleteError naming
+    `operation` for an extended circuit or one that is not D&C."""
+    if circuit.extended or not _report(circuit).strongly_valid:
+        got = " monotone circuit, not an extended one" if circuit.extended else " circuit"
+        raise NotDecomposableCompleteError(f"{operation} requires a decomposable and complete{got}")
 
 
 def rewrite(circuit: Circuit, replace, leaf_functions=None) -> Circuit:
@@ -178,7 +185,7 @@ def prune_degenerate(circuit: Circuit) -> Circuit:
     reaches is dropped; leaf-function ids are kept (see `rewrite`).
     Raises ZeroCircuitError if the root itself is eliminated.
     """
-    _require_monotone(circuit)
+    _require_monotone(circuit, "prune_degenerate")
 
     def rule(node, new, emit):
         if isinstance(node, SumNode):
@@ -210,7 +217,7 @@ def complete_transform(circuit: Circuit) -> Circuit:
     new leaf functions follow the old ones, whose ids are kept, and nodes
     the root does not reach are dropped (see `rewrite`).
     """
-    _require_monotone(circuit)
+    _require_monotone(circuit, "complete_transform")
     scopes = circuit.scopes()
     fns = list(circuit.leaf_functions)
     one_node: dict[int, int] = {}
@@ -241,13 +248,12 @@ def check_strong_validity(circuit: Circuit, audit: bool = False) -> bool:
     output polynomial is expanded and its set-multilinearity is asserted to
     agree (small circuits only).
     """
-    _require_monotone(circuit)
-    if not all(v.nontrivial for v in circuit.variables):
+    report = _report(circuit, "check_strong_validity")
+    if not report.all_variables_nontrivial:
         raise TrivialVariableError("all variables must have at least two domain values")
-    offenders = degeneracy_offenders(circuit)
-    if offenders:
-        raise DegenerateCircuitError(f"zero weights/constants at nodes {offenders}; prune first")
-    result = is_dc(circuit)
+    if report.degeneracy_offenders:
+        raise DegenerateCircuitError(f"zero weights/constants at nodes {report.degeneracy_offenders}; prune first")
+    result = report.strongly_valid
     if audit:
         from .polynomial import expand, is_set_multilinear
 

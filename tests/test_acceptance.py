@@ -135,7 +135,7 @@ def test_c03_equal_rank_separation():
     start = time.monotonic()
     ranks_ok = True
     for n in (4, 8, 12, 16, 20):
-        m = comm_matrix(equal_function(n), n, half_partition(n), max_block=12)
+        m = comm_matrix(equal_function(n), n, half_partition(n))
         rank = exact_rank([list(r) for r in m.entries])
         ranks_ok = ranks_ok and rank == 2 ** (n // 2)
     sizes_ok = True

@@ -888,6 +888,31 @@ def test_assignment_error_lines_are_pinned(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
+def test_dc_gate_error_lines_are_pinned(tmp_path, capsys):
+    from spn import cli
+
+    (tmp_path / "free.json").write_text(serialize(incomplete_valid_fixture()))
+    (tmp_path / "cnf.txt").write_text("p cnf 2 1\n1 -2 0\n")
+    assert cli.main(["cnf2spn", "-o", str(tmp_path / "extended.json"), str(tmp_path / "cnf.txt")]) == 0
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"integrate_over": {"0": [0, 1]}, "fixed": {"1": 1}}))
+    commands = {
+        "sampling": ["sample", "-n", "1", "--seed", "0"],
+        "partition_function": ["partition"],
+        "marginalize": ["marginalize", "--query", str(query)],
+        "normalize_weights": ["normalize"],
+        "decompose": ["decompose"],
+    }
+    for circuit, got in [("free", "circuit"), ("extended", "monotone circuit, not an extended one")]:
+        for operation, args in commands.items():
+            assert cli.main([*args, str(tmp_path / f"{circuit}.json")]) == 1
+            assert capsys.readouterr() == ("", f"error: {operation} requires a decomposable and complete {got}\n")
+    # the fixture is valid though not D&C: --force gives its exact values
+    for args, field in [(["partition"], "partition_function"), (["marginalize", "--query", str(query)], "value")]:
+        assert cli.main([*args, "--force", str(tmp_path / "free.json")]) == 0
+        assert json.loads(capsys.readouterr().out)[field] == "2"
+
+
 def test_long_query_key_and_option_error_lines_are_pinned(tmp_path, capsys):
     from spn import cli
 
@@ -1048,7 +1073,6 @@ def test_readme_caps_table_matches_the_code(tmp_path, monkeypatch, capsys):
 
     from spn import cli, polynomial
     from spn.errors import InstanceTooLargeError
-    from spn.separation import comm_matrix
     from spn.sptree import constraint_fraction_experiment
     from spn.structure import cnf_satisfiable, cnf_to_extended_spn
 
@@ -1069,9 +1093,6 @@ def test_readme_caps_table_matches_the_code(tmp_path, monkeypatch, capsys):
 
     # caps written as literals in the code, probed by their behavior
     probes = {
-        "comm_matrix block": lambda cap: at_cap(
-            lambda k: comm_matrix(lambda x: 0, k + 1, (range(k), [k])), cap
-        ),
         "cnf_to_extended_spn variables": lambda cap: at_cap(lambda k: cnf_to_extended_spn([[k]]), cap),
         "cnf_satisfiable variables": lambda cap: at_cap(lambda k: cnf_satisfiable([[-1]], k), cap),
         "spn check terms": check_terms,
@@ -1082,8 +1103,8 @@ def test_readme_caps_table_matches_the_code(tmp_path, monkeypatch, capsys):
     rows = _readme_caps()
     named = {cap for cap, _, _ in rows if cap.isidentifier()}
     assert named == {
-        "MAX_TABLE_CELLS", "MAX_TABLE_VARS", "ORACLE_MAX_VARS", "ORACLE_MAX_DOMAIN", "DEFAULT_TERM_CAP",
-        "MAX_ONE_HOT_CELLS", "MAX_EQUAL_N", "MAX_VERTICES", "INT_DIGITS",
+        "MAX_TABLE_CELLS", "MAX_BLOCK_VARS", "MAX_TABLE_VARS", "ORACLE_MAX_VARS", "ORACLE_MAX_DOMAIN",
+        "DEFAULT_TERM_CAP", "MAX_ONE_HOT_CELLS", "MAX_EQUAL_N", "MAX_VERTICES", "INT_DIGITS",
     }
     assert {cap for cap, _, _ in rows} - named == set(probes)
     for cap, limit, module in rows:

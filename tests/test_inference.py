@@ -41,7 +41,8 @@ from spn.machines import (
     parity_machine,
 )
 from spn.rng import Philox, make_rng
-from spn.separation import circuit_evaluator, comm_matrix
+from spn.separation import circuit_evaluator, comm_matrix, decompose
+from spn.structure import cnf_to_extended_spn
 
 from genutil import (
     exhaustive_marginal,
@@ -130,6 +131,39 @@ def test_marginalize_requires_dc_unless_forced():
     with pytest.raises(NotDecomposableCompleteError):
         marginalize(c, q)
     assert marginalize(c, q, force=True) == 2
+
+
+@pytest.mark.parametrize("kind", ["free", "extended", "extended D&C"])
+def test_every_gated_operation_names_itself(kind):
+    # one gate, structure.require_dc, for the five operations that need D&C
+    if kind == "free":
+        c = incomplete_valid_fixture()
+    elif kind == "extended":
+        c = cnf_to_extended_spn([[1, -2]])
+    else:  # decomposable and complete, with a negative leaf value
+        b = CircuitBuilder(extended=True)
+        xs = [b.variable([0, 1]) for _ in range(3)]
+        c = b.build(b.product([b.leaf(b.leaf_function(x, {0: -1, 1: 2})) for x in xs]))
+    query = MarginalQuery.of({0: [0, 1]}, {v: 1 for v in range(1, len(c.variables))})
+    got = "monotone circuit, not an extended one" if c.extended else "circuit"
+    for operation, call in [
+        ("marginalize", lambda: marginalize(c, query)),
+        ("partition_function", lambda: partition_function(c)),
+        ("normalize_weights", lambda: normalize_weights(c)),
+        ("sampling", lambda: DistributionHandle(c)),
+        ("decompose", lambda: decompose(c)),
+    ]:
+        with pytest.raises(NotDecomposableCompleteError) as exc:
+            call()
+        assert str(exc.value) == f"{operation} requires a decomposable and complete {got}"
+    # force and a given partition skip the gate; every circuit here but the
+    # CNF reduction is valid, so its forced values are the exhaustive sums
+    value = marginalize(c, query, force=True)
+    if kind != "extended":
+        points = list(c.iter_assignments(range(len(c.variables))))
+        assert partition_function(c, force=True) == sum(map(c.evaluate, points))
+        assert value == sum(c.evaluate(x) for x in points if all(x[v] == 1 for v in x if v))
+    assert DistributionHandle(c, partition=3).partition == 3
 
 
 def test_marginalize_agrees_with_exhaustive_sum():

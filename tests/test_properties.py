@@ -14,6 +14,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spn import structure
 from spn.circuit import (
     Circuit,
     CircuitBuilder,
@@ -26,7 +27,7 @@ from spn.circuit import (
     serialize,
     variables_of,
 )
-from spn.errors import DomainError, SpnError, ZeroCircuitError, ZeroPartitionError
+from spn.errors import DomainError, ExtendedCircuitError, SpnError, ZeroCircuitError, ZeroPartitionError
 from spn.inference import (
     DistributionHandle,
     MarginalQuery,
@@ -43,9 +44,12 @@ from spn.rng import make_rng
 from spn.separation import binarize_products, circuit_evaluator, comm_matrix, decompose, perturbation_rank_bound
 from spn.sptree import EdgeIndexing, PartialAssignment, count_consistent_trees, count_dichromatic_triangles
 from spn.structure import (
+    StructureReport,
+    analyze,
     brute_force_validity,
     check_complete,
     check_decomposable,
+    cnf_to_extended_spn,
     complete_transform,
     degeneracy_offenders,
     excise,
@@ -60,6 +64,7 @@ from genutil import (
     evaluate_via_expansion,
     exhaustive_marginal,
     leaf_function_scope,
+    random_3cnf,
     random_dc_circuit,
     random_free_circuit,
     randomize_tables,
@@ -391,11 +396,22 @@ def test_decompose_reconstructs_exactly(seed):
 @PROFILE
 @given(seeds)
 def test_scope_masks_match_leaf_function_scopes(seed):
+    # masks and the whole structural report against a frozenset reference, on
+    # free (some with zero weights), D&C and extended circuits, with the first
+    # verdict read through any of the functions that share the report
     rng = make_rng(seed)
-    if rng.random() < 0.5:
-        c = random_free_circuit(rng, max_vars=6, max_size=20)
-    else:
+    kind = int(rng.integers(3))
+    if kind == 1:
         c = random_dc_circuit(rng, n=int(rng.integers(2, 7)), max_size=25)
+    elif kind == 2 and rng.random() < 0.5:
+        clauses = random_3cnf(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        c = cnf_to_extended_spn(clauses + [[]] * (rng.random() < 0.3))  # an empty clause is a zero constant
+    else:
+        c = random_free_circuit(rng, max_vars=6, max_size=20, pruned=False, zero_weights=rng.random() < 0.5)
+        if kind == 2:
+            c = Circuit(c.variables, c.leaf_functions, c.nodes, c.root, extended=True)
+    if rng.random() < 0.2:  # a trivial variable, on no leaf
+        c = Circuit((*c.variables, VariableSpec(len(c.variables), (0,))), c.leaf_functions, c.nodes, c.root, c.extended)
     ref = [frozenset(c.leaf_functions[f].variable for f in leaf_function_scope(c, node.id)) for node in c.nodes]
     assert [variables_of(mask) for mask in c.scopes()] == [sorted(scope) for scope in ref]
     assert c.dependency_scope() == ref[c.root]
@@ -404,8 +420,32 @@ def test_scope_masks_match_leaf_function_scopes(seed):
         if isinstance(nd, ProductNode) and any(ref[a] & ref[b] for a, b in combinations(nd.children, 2))
     )
     mixed = tuple(nd.id for nd in c.nodes if isinstance(nd, SumNode) and len({ref[k] for k in nd.children}) > 1)
-    assert check_decomposable(c) == (not overlapping, overlapping)
-    assert check_complete(c) == (not mixed, mixed)
+    offenders = tuple(
+        nd.id for nd in c.nodes
+        if isinstance(nd, SumNode) and any(w == 0 for w in nd.weights) or isinstance(nd, ConstantNode) and nd.value == 0
+    )
+    expected = StructureReport(
+        not overlapping, overlapping, not mixed, mixed, not offenders, offenders,
+        all(len(v.domain) > 1 for v in c.variables), not overlapping and not mixed,
+    )
+    verdicts = [analyze, check_decomposable, check_complete, is_dc, degeneracy_offenders]
+    first = verdicts[int(rng.integers(len(verdicts)))]
+    if c.extended and first is not degeneracy_offenders:
+        with pytest.raises(ExtendedCircuitError, match=f"^{first.__name__} requires"):
+            first(c)
+    else:
+        first(c)
+    assert degeneracy_offenders(c) == offenders
+    if c.extended:
+        for verdict in verdicts[:-1]:
+            with pytest.raises(ExtendedCircuitError, match=f"^{verdict.__name__} requires"):
+                verdict(c)
+        assert structure._report(c) == expected
+    else:
+        assert analyze(c) == expected and analyze(c) is analyze(c)
+        assert check_decomposable(c) == (not overlapping, overlapping)
+        assert check_complete(c) == (not mixed, mixed)
+        assert is_dc(c) == expected.strongly_valid
 
 
 @PROFILE

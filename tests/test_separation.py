@@ -13,6 +13,7 @@ from spn.errors import DomainError, InstanceTooLargeError, SerializationError, S
 from spn.machines import build_equal, equal_function
 from spn.rng import make_rng
 from spn.separation import (
+    MAX_BLOCK_VARS,
     binarize_products,
     circuit_evaluator,
     comm_matrix,
@@ -352,6 +353,13 @@ def test_circuit_evaluator_holds_no_per_point_table():
     finally:
         tracemalloc.stop()
     assert held < 2 * 2**20
+
+
+def test_comm_matrix_blocks_stop_at_max_block_vars():
+    k = MAX_BLOCK_VARS
+    assert comm_matrix(lambda x: 0, k + 1, (range(k), [k])).block_a == tuple(range(k))
+    with pytest.raises(InstanceTooLargeError, match=f"^blocks limited to {k} variables$"):
+        comm_matrix(lambda x: 0, k + 2, (range(k + 1), [k + 1]))
 
 
 def test_tabulate_caps_its_grid():

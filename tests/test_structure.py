@@ -6,7 +6,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from spn.circuit import Circuit, CircuitBuilder, LeafFunction, LeafNode, ProductNode, SumNode
+from spn.circuit import Circuit, CircuitBuilder, ConstantNode, LeafFunction, LeafNode, ProductNode, SumNode
 from spn.errors import (
     DegenerateCircuitError,
     DomainError,
@@ -17,6 +17,7 @@ from spn.errors import (
     TrivialVariableError,
     ZeroCircuitError,
 )
+from spn.inference import DistributionHandle, MarginalQuery, marginalize, normalize_weights, partition_function
 from spn.machines import build_equal, compile_fpssm, parity_machine
 from spn.polynomial import expand, is_set_multilinear
 from spn.rng import make_rng
@@ -33,8 +34,11 @@ from spn.structure import (
     cnf_to_extended_spn,
     cnf_satisfiable,
     complete_transform,
+    degeneracy_offenders,
+    is_dc,
     parse_dimacs,
     prune_degenerate,
+    require_dc,
     rewrite,
     validity_witness,
 )
@@ -95,11 +99,33 @@ def test_incomplete_fixture_is_neither_decomposable_nor_complete():
 
 
 def test_structural_checks_reject_extended_circuits():
-    c = cnf_to_extended_spn([[1]])
-    with pytest.raises(ExtendedCircuitError):
-        check_decomposable(c)
-    with pytest.raises(ExtendedCircuitError):
-        check_complete(c)
+    c = cnf_to_extended_spn([[1], []])  # the empty clause is a zero constant
+    assert degeneracy_offenders(c) == tuple(n.id for n in c.nodes if isinstance(n, ConstantNode) and n.value == 0)
+    assert len(degeneracy_offenders(c)) == 1
+    checks = (analyze, check_decomposable, check_complete, is_dc, check_strong_validity, prune_degenerate, complete_transform)
+    for check in checks:
+        with pytest.raises(ExtendedCircuitError, match=rf"^{check.__name__} requires a monotone \(non-extended\)"):
+            check(c)
+
+
+def test_one_structural_pass_serves_every_verdict_and_gate(monkeypatch):
+    # the report is built on the first verdict and kept on the circuit: after
+    # it no verdict or gate computes scopes (a pass over the nodes) again
+    source = compile_fpssm(parity_machine(8))
+    query = MarginalQuery.of({0: [0, 1], 3: [1]}, {v: 1 for v in (1, 2, 4, 5, 6, 7)})
+    expected = (marginalize(source, query), partition_function(source), normalize_weights(source))
+    for first in (analyze, check_decomposable, check_complete, is_dc, degeneracy_offenders):
+        c = Circuit(source.variables, source.leaf_functions, source.nodes, source.root)
+        first(c)
+        with monkeypatch.context() as m:
+            m.setattr(Circuit, "scopes", lambda self: pytest.fail("scopes computed again"))
+            assert analyze(c) is analyze(c) and analyze(c).strongly_valid
+            assert is_dc(c) and check_decomposable(c) == check_complete(c) == (True, ()) and not degeneracy_offenders(c)
+            assert check_strong_validity(c)
+            require_dc(c, "an operation")
+            assert (marginalize(c, query), partition_function(c)) == expected[:2]
+            assert normalize_weights(c).structurally_equal(expected[2])
+            assert DistributionHandle(c).partition == expected[1]
 
 
 # -- pruning -------------------------------------------------------------------
